@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import no_adjustment, oracle_estimate, w_adjustment
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
-from .errors import FilterExhaustedError, ValidationError
+from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
 from .reduced import bootstrap_ci, reduced_estimate, _proxy_matrix, _split_eta, eta_from_dataset
 from .scm import (ScmSpec, interventional_sample, population_views,
                   sample_scm_spec, simulate_dataset, target_conditional,
@@ -125,7 +125,7 @@ def _kappa_hat_from_data(ds, x: int, y: int) -> float | None:
     try:
         eta = eta_from_dataset(ds, x, y)
         return condition_number(_proxy_matrix(_split_eta(eta.values, eta.k_w, eta.k_e)))
-    except Exception:
+    except (ProxyShiftError, np.linalg.LinAlgError):
         return None
 
 

@@ -154,13 +154,33 @@ def right_pseudoinverse(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     over largest singular value below ``rank_tol``) raises
     :class:`SingularMatrixError`.
     """
-    m = _as_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] / s[0] < rank_tol:
-        raise SingularMatrixError(
-            f"singular system: singular-value ratio {s[-1] / s[0] if s[0] > 0 else 0.0:.3e} "
-            f"below tolerance {rank_tol:.1e}")
-    return (vt.T / s) @ u.T
+    pinv, singular = stacked_right_pseudoinverse(_as_matrix(a)[None], rank_tol)
+    if singular:
+        raise singular[0]
+    return pinv[0]
+
+
+def stacked_right_pseudoinverse(a: np.ndarray, rank_tol=RANK_REL_TOL
+                                ) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
+    """Right pseudo-inverses of a ``(B, m, n)`` stack through one stacked SVD.
+
+    ``rank_tol`` is a scalar or one tolerance per matrix.  Returns the
+    ``(B, n, m)`` pseudo-inverses and, keyed by stack index, the
+    :class:`SingularMatrixError` that :func:`right_pseudoinverse` raises for
+    each numerically singular matrix; those matrices' pseudo-inverses are
+    meaningless.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    tol = np.broadcast_to(rank_tol, s.shape[:1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s[:, -1] / s[:, 0]
+        pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+    singular = {
+        int(i): SingularMatrixError(
+            f"singular system: singular-value ratio {ratio[i] if s[i, 0] > 0 else 0.0:.3e} "
+            f"below tolerance {tol[i]:.1e}")
+        for i in np.flatnonzero((s[:, 0] <= 0.0) | (ratio < tol))}
+    return pinv, singular
 
 
 def condition_number(a) -> float:
@@ -182,8 +202,13 @@ def condition_number(a) -> float:
 
 def numeric_row_rank(a, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular values of ``a`` at least ``rel_tol * sigma_max``."""
-    m = _as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s >= rel_tol * s[0]))
+    return int(stacked_row_rank(_as_matrix(a)[None], rel_tol)[0])
+
+
+def stacked_row_rank(a: np.ndarray, rel_tol=RANK_REL_TOL) -> np.ndarray:
+    """:func:`numeric_row_rank` of every matrix in a ``(B, m, n)`` stack, from
+    one stacked SVD; ``rel_tol`` is a scalar or one tolerance per matrix."""
+    s = np.linalg.svd(a, compute_uv=False)
+    ranks = np.count_nonzero(s >= np.reshape(rel_tol, (-1, 1)) * s[:, :1], axis=1)
+    ranks[s[:, 0] <= 0.0] = 0
+    return ranks

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ValidationError
 from .reduced import EffectEstimate, EstimateFlags
@@ -212,6 +211,9 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
         raise ValidationError("counts must describe at least one record")
     if k_u is None:
         raise ValidationError("k_u (the fitted confounder cardinality) is required")
+    # imported here so that starting the CLI does not load scipy
+    from scipy.optimize import minimize
+
     opts = opts or FitOptions()
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     dim = k_u * k_e + k_u + k_w * k_u + k_x * k_u + k_y * k_u * k_w * k_x

@@ -181,7 +181,8 @@ def _cmd_estimate(args) -> int:
             boot = bootstrap_ci(ds, x, y, args.bootstrap, alpha=args.alpha,
                                 rng=args.seed)
             out["bootstrap"] = {"ci_lower": boot.ci_lower, "ci_upper": boot.ci_upper,
-                                "sigma_boot": boot.sigma_boot, "b": args.bootstrap}
+                                "sigma_boot": boot.sigma_boot, "b": args.bootstrap,
+                                "failed": boot.failed, "perturbed": boot.perturbed}
     elif args.method == "causal":
         est = causal_estimate(ds, x, y, FitOptions(seed=args.seed), k_u=args.k_u_fit)
         out.update(est.to_dict())

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
-from .categorical import RANK_REL_TOL, condition_number, numeric_row_rank, right_pseudoinverse
-from .errors import BootstrapError, EmptyCellError, ValidationError
+from .categorical import (RANK_REL_TOL, condition_number, stacked_right_pseudoinverse,
+                          stacked_row_rank)
+from .errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
 from .scm import ContingencyCounts, Dataset, contingency_counts
 
 #: Additive perturbation applied to the proxy-cell components when the
@@ -33,6 +33,9 @@ _FD_STEP = 1e-6
 
 def normal_quantile(beta: float) -> float:
     """Standard-normal quantile (inverse cdf)."""
+    # imported here so that starting the CLI does not load scipy
+    from scipy.special import ndtri
+
     return float(ndtri(beta))
 
 
@@ -129,21 +132,21 @@ class EtaVector:
 
 
 class _EtaParts(NamedTuple):
-    q_w_t: np.ndarray   # (k_w - 1,) target proxy cells
-    q_t: float          # target mass
-    p_wxe: np.ndarray   # (k_w - 1, k_e) proxy-treatment cells
-    p_yxe: np.ndarray   # (k_e,) outcome cells
-    p_xe: np.ndarray    # (k_e,) treatment cells
+    """The pieces of a statistic vector (or of a batch, along leading axes)."""
+
+    q_w_t: np.ndarray   # (..., k_w - 1) target proxy cells
+    q_t: np.ndarray     # (...) target mass
+    p_wxe: np.ndarray   # (..., k_e, k_w - 1) proxy-treatment cells by domain
+    p_yxe: np.ndarray   # (..., k_e) outcome cells
+    p_xe: np.ndarray    # (..., k_e) treatment cells
 
 
 def _split_eta(values: np.ndarray, k_w: int, k_e: int) -> _EtaParts:
     kw1 = k_w - 1
-    q_w_t = values[:kw1]
-    q_t = float(values[kw1])
-    a = k_w
-    p_wxe = values[a:a + kw1 * k_e].reshape(k_e, kw1).T
-    b = a + kw1 * k_e
-    return _EtaParts(q_w_t, q_t, p_wxe, values[b:b + k_e], values[b + k_e:b + 2 * k_e])
+    b = k_w + kw1 * k_e
+    p_wxe = values[..., k_w:b].reshape(values.shape[:-1] + (k_e, kw1))
+    return _EtaParts(values[..., :kw1], values[..., kw1], p_wxe,
+                     values[..., b:b + k_e], values[..., b + k_e:b + 2 * k_e])
 
 
 class _CellTable(NamedTuple):
@@ -157,41 +160,28 @@ class _CellTable(NamedTuple):
 
 def _cell_table(counts: ContingencyCounts, x: int, y: int,
                 k_w: int, k_e: int) -> _CellTable:
+    """One row per non-empty cell: source cells in ``(y, x, w, e)`` order,
+    then target proxy cells in ``w`` order."""
     k_eta = k_w + (k_w + 1) * k_e
     kw1 = k_w - 1
-    rows = []
-    cell_counts = []
     t = counts.n_yxwe
-    k_y, k_x = t.shape[0], t.shape[1]
-    for yi in range(k_y):
-        for xi in range(k_x):
-            for wi in range(k_w):
-                for ei in range(k_e):
-                    c = int(t[yi, xi, wi, ei])
-                    if c == 0:
-                        continue
-                    profile = np.zeros(k_eta)
-                    if xi == x:
-                        if wi < kw1:
-                            profile[k_w + ei * kw1 + wi] = 1.0
-                        if yi == y:
-                            profile[k_w + kw1 * k_e + ei] = 1.0
-                        profile[k_w + (kw1 + 1) * k_e + ei] = 1.0
-                    rows.append(profile)
-                    cell_counts.append(c)
-    for wi in range(k_w):
-        c = int(counts.n_w_target[wi])
-        if c == 0:
-            continue
-        profile = np.zeros(k_eta)
-        if wi < kw1:
-            profile[wi] = 1.0
-        profile[kw1] = 1.0
-        rows.append(profile)
-        cell_counts.append(c)
-    if not rows:
+    yi, xi, wi, ei = np.nonzero(t)
+    wt = np.flatnonzero(counts.n_w_target)
+    if yi.size + wt.size == 0:
         raise EmptyCellError("dataset is empty", cell="all")
-    return _CellTable(np.array(cell_counts, dtype=np.int64), np.array(rows), counts.n)
+    profiles = np.zeros((yi.size + wt.size, k_eta))
+    treated = np.flatnonzero(xi == x)
+    w, e = wi[treated], ei[treated]
+    proxy = w < kw1
+    profiles[treated[proxy], k_w + e[proxy] * kw1 + w[proxy]] = 1.0
+    hit = yi[treated] == y
+    profiles[treated[hit], k_w + kw1 * k_e + e[hit]] = 1.0
+    profiles[treated, k_w + (kw1 + 1) * k_e + e] = 1.0
+    target = yi.size + np.arange(wt.size)
+    profiles[target[wt < kw1], wt[wt < kw1]] = 1.0
+    profiles[target, kw1] = 1.0
+    cell_counts = np.concatenate([t[yi, xi, wi, ei], counts.n_w_target[wt]])
+    return _CellTable(cell_counts, profiles, counts.n)
 
 
 def eta_from_counts(counts: ContingencyCounts, x: int, y: int) -> EtaVector:
@@ -224,32 +214,62 @@ def eta_from_dataset(ds: Dataset, x: int, y: int) -> EtaVector:
 
 
 def _proxy_matrix(parts: _EtaParts) -> np.ndarray:
-    """Estimated proxy conditional matrix, last row by complement."""
+    """Estimated proxy conditional matrix ``(..., k_w, k_e)``, last row by
+    complement."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = parts.p_wxe / parts.p_xe[None, :]
-    return np.vstack([top, 1.0 - top.sum(axis=0, keepdims=True)])
+        top = parts.p_wxe / parts.p_xe[..., None]
+    columns = np.concatenate([top, 1.0 - top.sum(axis=-1, keepdims=True)], axis=-1)
+    return np.swapaxes(columns, -1, -2)
 
 
-def _check_cells(parts: _EtaParts) -> None:
-    if parts.q_t <= 0.0:
-        raise EmptyCellError("no target-domain records", cell="target")
-    zero = np.nonzero(parts.p_xe <= 0.0)[0]
-    if zero.size:
-        e = int(zero[0])
-        raise EmptyCellError(
+def _checked_matrices(values: np.ndarray, k_w: int, k_e: int):
+    """Split a ``(B, k_eta)`` batch, check its cells and build its proxy
+    matrices.  Returns ``(parts, matrices, errors)``; ``errors`` maps each row
+    with a target or treatment cell without mass to its
+    :class:`EmptyCellError` (naming the first empty domain).  Those rows'
+    matrices are zeroed so that one stacked SVD can take the whole batch."""
+    parts = _split_eta(values, k_w, k_e)
+    errors: dict[int, ProxyShiftError] = {
+        int(i): EmptyCellError("no target-domain records", cell="target")
+        for i in np.flatnonzero(parts.q_t <= 0.0)}
+    for i, e in zip(*np.nonzero(parts.p_xe <= 0.0)):
+        errors.setdefault(int(i), EmptyCellError(
             f"no source records with the requested treatment in domain {e}",
-            cell=f"(x, e={e})")
+            cell=f"(x, e={e})"))
+    matrices = _proxy_matrix(parts)
+    matrices[list(errors)] = 0.0
+    return parts, matrices, errors
+
+
+def _h_batch(values: np.ndarray, k_w: int, k_e: int,
+             rank_tol=RANK_REL_TOL) -> tuple[np.ndarray, dict[int, ProxyShiftError]]:
+    """The identification map on a ``(B, k_eta)`` batch of statistic vectors.
+
+    Reconstructs each row's target proxy marginal (last entry by complement),
+    proxy conditional matrix and outcome conditional (ratios), and applies the
+    pseudo-inverse adjustment through one stacked SVD.  ``rank_tol`` is a
+    scalar or one tolerance per row.  Returns the ``(B,)`` values (NaN where a
+    row fails) and, keyed by row, the :class:`EmptyCellError` or
+    :class:`SingularMatrixError` each failing row raises on its own.
+    """
+    parts, matrices, errors = _checked_matrices(values, k_w, k_e)
+    pinv, singular = stacked_right_pseudoinverse(matrices, rank_tol)
+    errors = {**singular, **errors}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_w_top = parts.q_w_t / parts.q_t[:, None]
+        q_w = np.concatenate([q_w_top, 1.0 - q_w_top.sum(axis=1, keepdims=True)], axis=1)
+        p_y_ex = parts.p_yxe / parts.p_xe
+        h = (p_y_ex[:, None, :] @ pinv @ q_w[:, :, None])[:, 0, 0]
+    h[list(errors)] = np.nan
+    return h, errors
 
 
 def _h_raw(values: np.ndarray, k_w: int, k_e: int,
            rank_tol: float = RANK_REL_TOL) -> float:
-    parts = _split_eta(values, k_w, k_e)
-    _check_cells(parts)
-    q_w_top = parts.q_w_t / parts.q_t
-    q_w = np.concatenate([q_w_top, [1.0 - q_w_top.sum()]])
-    p_w_ex = _proxy_matrix(parts)
-    p_y_ex = parts.p_yxe / parts.p_xe
-    return float(p_y_ex @ right_pseudoinverse(p_w_ex, rank_tol) @ q_w)
+    h, errors = _h_batch(np.asarray(values, dtype=float)[None], k_w, k_e, rank_tol)
+    if errors:
+        raise errors[0]
+    return float(h[0])
 
 
 def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
@@ -260,26 +280,28 @@ def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
     conditional (ratios), then applies the pseudo-inverse adjustment.  Raises
     :class:`EmptyCellError` when a denominator cell has no mass.
     """
-    return _h_raw(np.asarray(eta.values, dtype=float), eta.k_w, eta.k_e, rank_tol)
+    return _h_raw(eta.values, eta.k_w, eta.k_e, rank_tol)
 
 
 def grad_h(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     """Central finite-difference gradient of the identification map.
 
     Uses per-coordinate steps ``max(1e-6, 1e-6 * |eta_i|)`` on the plain
-    (unperturbed) map; errors from the map propagate.
+    (unperturbed) map.  All ``2 * k_eta`` difference points are evaluated as
+    one batch, each exactly as :func:`h_of_eta` would evaluate it alone; the
+    error of the first failing point (in coordinate order, the ``+`` point
+    before the ``-`` point) propagates.
     """
     base = np.asarray(eta.values, dtype=float)
-    grad = np.empty(base.size)
-    for i in range(base.size):
-        step = max(_FD_STEP, _FD_STEP * abs(base[i]))
-        hi = base.copy()
-        lo = base.copy()
-        hi[i] += step
-        lo[i] -= step
-        grad[i] = (_h_raw(hi, eta.k_w, eta.k_e, rank_tol)
-                   - _h_raw(lo, eta.k_w, eta.k_e, rank_tol)) / (2.0 * step)
-    return grad
+    steps = np.maximum(_FD_STEP, _FD_STEP * np.abs(base))
+    coord = np.arange(base.size)
+    points = np.repeat(base[None, :], 2 * base.size, axis=0)
+    points[2 * coord, coord] += steps
+    points[2 * coord + 1, coord] -= steps
+    h, errors = _h_batch(points, eta.k_w, eta.k_e, rank_tol)
+    if errors:
+        raise errors[min(errors)]
+    return (h[0::2] - h[1::2]) / (2.0 * steps)
 
 
 def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
@@ -289,9 +311,9 @@ def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
     ``k_w * eps`` (the implicit complement row receives ``eps`` as well)."""
     out = values.copy()
     kw1 = k_w - 1
-    out[k_w:k_w + kw1 * k_e] += eps
+    out[..., k_w:k_w + kw1 * k_e] += eps
     b = k_w + (kw1 + 1) * k_e
-    out[b:b + k_e] += k_w * eps
+    out[..., b:b + k_e] += k_w * eps
     return out
 
 
@@ -301,15 +323,20 @@ def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
 _PERTURBED_RANK_TOL = 1e-13
 
 
-def _maybe_perturb(values: np.ndarray, k_w: int, k_e: int,
-                   rank_tol: float) -> tuple[np.ndarray, bool, float]:
-    """Returns (possibly perturbed values, perturbed flag, evaluation
-    tolerance for the pseudo-inverse)."""
-    parts = _split_eta(values, k_w, k_e)
-    _check_cells(parts)
-    if numeric_row_rank(_proxy_matrix(parts), rank_tol) < k_w:
-        return _perturb_values(values, k_w, k_e), True, _PERTURBED_RANK_TOL
-    return values, False, rank_tol
+def _rank_repair(values: np.ndarray, k_w: int, k_e: int,
+                 rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank test and repair of a ``(B, k_eta)`` batch.
+
+    Rows whose proxy matrix has numeric row rank below ``k_w`` at
+    ``rank_tol`` are perturbed.  Returns (values, perturbed mask, per-row
+    evaluation tolerance for the pseudo-inverse).  Rows that fail their cell
+    check are left alone: :func:`_h_batch` reports them.
+    """
+    _, matrices, errors = _checked_matrices(values, k_w, k_e)
+    perturbed = stacked_row_rank(matrices, rank_tol) < k_w
+    perturbed[list(errors)] = False
+    out = np.where(perturbed[:, None], _perturb_values(values, k_w, k_e), values)
+    return out, perturbed, np.where(perturbed, _PERTURBED_RANK_TOL, rank_tol)
 
 
 def _clip01(v: float) -> float:
@@ -325,14 +352,15 @@ def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
     :class:`EmptyCellError`).  The point and interval are clipped to [0, 1];
     unclipped values are retained.  When the estimated proxy conditional
     matrix is rank-deficient at ``rank_tol``, a deterministic perturbation is
-    applied and recorded in the flags.
+    applied and recorded in the flags.  The delta-method gradient is one
+    batched evaluation of the map (see :func:`grad_h`).
     """
     eta = eta_from_dataset(ds, x, y)
-    values, perturbed, eval_tol = _maybe_perturb(eta.values, eta.k_w, eta.k_e, rank_tol)
+    values, perturbed, eval_tol = _rank_repair(eta.values[None], eta.k_w, eta.k_e, rank_tol)
+    work = EtaVector(values[0], eta.cov, eta.n, eta.k_w, eta.k_e)
+    point_u = h_of_eta(work, eval_tol[0])
     kappa_hat = condition_number(_proxy_matrix(_split_eta(eta.values, eta.k_w, eta.k_e)))
-    work = EtaVector(values, eta.cov, eta.n, eta.k_w, eta.k_e)
-    point_u = h_of_eta(work, eval_tol)
-    grad = grad_h(work, eval_tol)
+    grad = grad_h(work, eval_tol[0])
     sigma2 = float(grad @ work.cov @ grad)
     sigma_hat = math.sqrt(max(sigma2, 0.0))
     half = sigma_hat / math.sqrt(eta.n) * normal_quantile(1.0 - alpha / 2.0)
@@ -340,7 +368,7 @@ def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
     point = _clip01(point_u)
     lo, hi = _clip01(lo_u), _clip01(hi_u)
     flags = EstimateFlags(
-        rank_perturbed=perturbed,
+        rank_perturbed=bool(perturbed[0]),
         clipped_point=point != point_u,
         clipped_ci=(lo != lo_u) or (hi != hi_u),
     )
@@ -352,9 +380,14 @@ def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
 
 
 class BootstrapCI(NamedTuple):
+    """A bootstrap interval.  ``failed`` counts resamples without an
+    estimate, ``perturbed`` the resamples the rank repair was applied to."""
+
     ci_lower: float
     ci_upper: float
     sigma_boot: float
+    failed: int = 0
+    perturbed: int = 0
 
 
 def bootstrap_ci(ds: Dataset, x: int, y: int, n_boot: int, alpha: float = 0.05,
@@ -368,38 +401,39 @@ def bootstrap_ci(ds: Dataset, x: int, y: int, n_boot: int, alpha: float = 0.05,
     touching individual records); the interval is centred at the full-sample
     estimate with half-width ``sigma_boot`` times the normal quantile, then
     clipped to [0, 1].  Resamples are keyed by their index, so any parallel
-    execution order reproduces the same draws.  More than
+    execution order reproduces the same draws.
+
+    All resamples are evaluated as one batch: their statistic vectors come
+    from one matrix product, the rank test and repair act as a mask, and the
+    map takes one stacked SVD.  A resample fails only when it has an empty
+    cell (:class:`EmptyCellError`) or a singular proxy matrix
+    (:class:`SingularMatrixError`); any other error propagates.  More than
     ``failure_budget * n_boot`` failed resamples abort with
     :class:`BootstrapError`.
     """
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
     counts = contingency_counts(ds)
-    eta = eta_from_counts(counts, x, y)
-    table = _cell_table(counts, x, y, eta.k_w, eta.k_e)
+    k_w, k_e = counts.n_yxwe.shape[2], counts.n_yxwe.shape[3]
+    table = _cell_table(counts, x, y, k_w, k_e)
     probs = table.counts / table.n
 
-    values, _, centre_tol = _maybe_perturb(eta.values, eta.k_w, eta.k_e, rank_tol)
-    centre = _h_raw(values, eta.k_w, eta.k_e, centre_tol)
+    centre_values, _, centre_tol = _rank_repair((table.profiles.T @ probs)[None],
+                                                k_w, k_e, rank_tol)
+    centre = _h_raw(centre_values[0], k_w, k_e, centre_tol[0])
 
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     base = int(rng.integers(2 ** 62))
-
-    estimates = []
-    failures = 0
-    for b in range(n_boot):
-        stream = np.random.default_rng([base, b])
-        resampled = stream.multinomial(table.n, probs)
-        vals = table.profiles.T @ (resampled / table.n)
-        try:
-            vals, _, tol = _maybe_perturb(vals, eta.k_w, eta.k_e, rank_tol)
-            estimates.append(_h_raw(vals, eta.k_w, eta.k_e, tol))
-        except Exception:
-            failures += 1
+    draws = np.array([np.random.default_rng([base, b]).multinomial(table.n, probs)
+                      for b in range(n_boot)])
+    values, perturbed, tol = _rank_repair((draws / table.n) @ table.profiles, k_w, k_e, rank_tol)
+    estimates, errors = _h_batch(values, k_w, k_e, tol)
+    failures = len(errors)
     if failures > failure_budget * n_boot:
         raise BootstrapError(
             f"{failures}/{n_boot} bootstrap resamples failed to produce an estimate")
-    sigma_boot = float(np.std(estimates, ddof=1))
+    sigma_boot = float(np.std(np.delete(estimates, list(errors)), ddof=1))
     half = sigma_boot * normal_quantile(1.0 - alpha / 2.0)
-    return BootstrapCI(_clip01(centre - half), _clip01(centre + half), sigma_boot)
+    return BootstrapCI(_clip01(centre - half), _clip01(centre + half), sigma_boot,
+                       failures, int(perturbed.sum()))

@@ -31,6 +31,17 @@ def simulate_fixture(tmp_path, seed=7, n=400):
     return model, data, dims
 
 
+def test_import_does_not_load_scipy():
+    # scipy is imported by the two calls that need it, not at start-up
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, proxyshift.cli; "
+         "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         res = run_cli("estimate", "--nonsense")
@@ -97,6 +108,15 @@ class TestEstimate:
         doc = json.loads(res.stdout)
         assert doc["bootstrap"]["b"] == 32
         assert doc["bootstrap"]["ci_lower"] <= doc["bootstrap"]["ci_upper"]
+
+    def test_bootstrap_block_reports_resample_counts(self, tmp_path):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--bootstrap", "32", "--seed", "3")
+        assert res.returncode == 0, res.stderr
+        block = json.loads(res.stdout)["bootstrap"]
+        assert block["failed"] == 0
+        assert block["perturbed"] == 0
 
     def test_causal_and_baseline_methods(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")

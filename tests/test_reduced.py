@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxyshift.categorical import CategorySpec
-from proxyshift.errors import EmptyCellError, ValidationError
-from proxyshift.reduced import (EtaVector, bootstrap_ci, eta_from_dataset,
-                                grad_h, h_of_eta, normal_quantile,
-                                reduced_estimate)
-from proxyshift.scm import (TARGET, Dataset, population_views, sample_scm_spec,
-                            simulate_dataset, true_effect)
+import proxyshift.reduced as reduced
+from proxyshift.categorical import CategorySpec, numeric_row_rank
+from proxyshift.errors import EmptyCellError, ProxyShiftError, ValidationError
+from proxyshift.reduced import (EtaVector, _cell_table, _h_batch, _h_raw,
+                                _perturb_values, _proxy_matrix, _split_eta,
+                                bootstrap_ci, eta_from_dataset, grad_h, h_of_eta,
+                                normal_quantile, reduced_estimate)
+from proxyshift.scm import (TARGET, ContingencyCounts, Dataset, contingency_counts,
+                            population_views, sample_scm_spec, simulate_dataset,
+                            true_effect)
 
 from conftest import well_conditioned_spec
 
@@ -278,3 +283,209 @@ class TestBootstrap:
         boot = bootstrap_ci(ds, 0, 0, 100, rng=7)
         assert 0.0 <= boot.ci_lower <= boot.ci_upper <= 1.0
         assert boot.sigma_boot > 0.0
+
+
+def loop_grad(eta: EtaVector) -> np.ndarray:
+    """The central-difference gradient one coordinate and one map call at a
+    time."""
+    base = eta.values.copy()
+    grad = np.empty(base.size)
+    for i in range(base.size):
+        step = max(1e-6, 1e-6 * abs(base[i]))
+        hi, lo = base.copy(), base.copy()
+        hi[i] += step
+        lo[i] -= step
+        grad[i] = (_h_raw(hi, eta.k_w, eta.k_e)
+                   - _h_raw(lo, eta.k_w, eta.k_e)) / (2.0 * step)
+    return grad
+
+
+def reference_bootstrap(ds, x, y, n_boot, seed, alpha=0.05):
+    """The bootstrap one resample at a time: keyed draws, the cell check and
+    rank repair per resample, one map call each.  The resamples' statistic
+    vectors come from the same matrix product as in ``bootstrap_ci``."""
+    counts = contingency_counts(ds)
+    k_w, k_e = counts.n_yxwe.shape[2:]
+    table = _cell_table(counts, x, y, k_w, k_e)
+    probs = table.counts / table.n
+    base = int(np.random.default_rng(seed).integers(2 ** 62))
+    draws = np.array([np.random.default_rng([base, b]).multinomial(table.n, probs)
+                      for b in range(n_boot)])
+    estimates, failures, perturbed = [], [], 0
+    for values in (draws / table.n) @ table.profiles:
+        parts = _split_eta(values, k_w, k_e)
+        tol = reduced.RANK_REL_TOL
+        if (parts.q_t > 0.0 and np.all(parts.p_xe > 0.0)
+                and numeric_row_rank(_proxy_matrix(parts)) < k_w):
+            values, tol = _perturb_values(values, k_w, k_e), reduced._PERTURBED_RANK_TOL
+            perturbed += 1
+        try:
+            estimates.append(_h_raw(values, k_w, k_e, tol))
+        except ProxyShiftError as exc:
+            failures.append(type(exc))
+    centre = reduced_estimate(ds, x, y).point_unclipped
+    sigma = float(np.std(estimates, ddof=1))
+    half = sigma * normal_quantile(1.0 - alpha / 2.0)
+    bounds = (min(max(centre - half, 0.0), 1.0), min(max(centre + half, 0.0), 1.0))
+    return bounds, sigma, failures, perturbed
+
+
+def tied_and_sparse_dataset() -> Dataset:
+    """Few records per treated cell: resamples often tie the two domains'
+    proxy ratios (rank repair) or lose domain 1's treated records (an empty
+    cell)."""
+    dims = CategorySpec(k_e=2, k_u=2, k_w=2, k_x=2, k_y=2)
+    recs = [(0, 0, 0, 0)] * 3 + [(0, 1, 0, 1), (0, 0, 0, 1)]
+    recs += [(1, 0, 0, 0), (1, 1, 0, 1)] + [(1, 0, 1, 0)] * 6 + [(0, 1, 1, 1)] * 4
+    recs += [(TARGET, 0, None, None)] * 3 + [(TARGET, 1, None, None)] * 2
+    return Dataset.from_records(recs, dims)
+
+
+def loop_cell_table(counts: ContingencyCounts, x: int, y: int, k_w: int, k_e: int):
+    """The cell table built cell by cell."""
+    k_eta = k_w + (k_w + 1) * k_e
+    kw1 = k_w - 1
+    rows, cell_counts = [], []
+    t = counts.n_yxwe
+    for yi in range(t.shape[0]):
+        for xi in range(t.shape[1]):
+            for wi in range(k_w):
+                for ei in range(k_e):
+                    if t[yi, xi, wi, ei] == 0:
+                        continue
+                    profile = np.zeros(k_eta)
+                    if xi == x:
+                        if wi < kw1:
+                            profile[k_w + ei * kw1 + wi] = 1.0
+                        if yi == y:
+                            profile[k_w + kw1 * k_e + ei] = 1.0
+                        profile[k_w + (kw1 + 1) * k_e + ei] = 1.0
+                    rows.append(profile)
+                    cell_counts.append(t[yi, xi, wi, ei])
+    for wi in range(k_w):
+        if counts.n_w_target[wi] == 0:
+            continue
+        profile = np.zeros(k_eta)
+        if wi < kw1:
+            profile[wi] = 1.0
+        profile[kw1] = 1.0
+        rows.append(profile)
+        cell_counts.append(counts.n_w_target[wi])
+    return np.array(cell_counts, dtype=np.int64), np.array(rows)
+
+
+@st.composite
+def eta_batches(draw):
+    """A batch of statistic vectors with some empty cells and, optionally, a
+    row whose first two domains are tied (a singular proxy matrix)."""
+    k_w = draw(st.integers(1, 3))
+    k_e = draw(st.integers(1, 4))
+    k_eta = k_w + (k_w + 1) * k_e
+    n_rows = draw(st.integers(1, 6))
+    row = st.lists(st.floats(1e-3, 1.0), min_size=k_eta, max_size=k_eta)
+    values = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                        st.integers(0, k_eta - 1)), max_size=4)):
+        values[i, j] = 0.0
+    if k_e >= 2 and draw(st.booleans()):
+        row = values[draw(st.integers(0, n_rows - 1))]
+        kw1 = k_w - 1
+        row[k_w + kw1:k_w + 2 * kw1] = row[k_w:k_w + kw1]
+        p_xe = k_w + kw1 * k_e + k_e
+        row[p_xe + 1] = row[p_xe]
+    tols = np.array(draw(st.lists(st.sampled_from([1e-9, 1e-13]),
+                                  min_size=n_rows, max_size=n_rows)))
+    return values, k_w, k_e, tols
+
+
+class TestStackedMap:
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (3, 3, 3, 2, 2),
+                                      (12, 6, 6, 2, 2), (30, 10, 10, 2, 2)])
+    def test_grad_matches_per_coordinate_loop_bit_for_bit(self, dims):
+        spec = sample_scm_spec(CategorySpec(*dims), np.random.default_rng(sum(dims)))
+        ds = simulate_dataset(spec, 20_000, np.random.default_rng(1))
+        eta = eta_from_dataset(ds, 0, 0)
+        assert np.array_equal(grad_h(eta), loop_grad(eta))
+
+    def test_single_proxy_category(self):
+        # k_w = 1: no proxy-treatment cells, the proxy matrix is a row of ones
+        spec = sample_scm_spec(CategorySpec(3, 2, 1, 2, 2), np.random.default_rng(4))
+        ds = simulate_dataset(spec, 3000, np.random.default_rng(5))
+        eta = eta_from_dataset(ds, 0, 0)
+        assert np.array_equal(grad_h(eta), loop_grad(eta))
+        batch = np.stack([eta.values, eta.values * 0.5])
+        h, errors = _h_batch(batch, 1, 3)
+        assert not errors
+        assert h[0] == h_of_eta(eta) == _h_raw(batch[1], 1, 3)
+        boot = bootstrap_ci(ds, 0, 0, 50, rng=1)
+        assert boot.failed == 0 and boot.perturbed == 0
+        assert boot.ci_lower <= boot.ci_upper
+
+    @pytest.mark.parametrize("case", ["simulated", "tied_and_sparse"])
+    def test_bootstrap_matches_reference_loop(self, case):
+        if case == "simulated":
+            ds = simulate_dataset(well_conditioned_spec(), 3000, np.random.default_rng(8))
+        else:
+            ds = tied_and_sparse_dataset()
+        got = bootstrap_ci(ds, 0, 0, 64, rng=5, failure_budget=1.0)
+        bounds, sigma, failures, perturbed = reference_bootstrap(ds, 0, 0, 64, 5)
+        assert got.failed == len(failures)
+        assert got.perturbed == perturbed
+        assert got.sigma_boot == pytest.approx(sigma, rel=1e-12, abs=1e-12)
+        assert got.ci_lower == pytest.approx(bounds[0], abs=1e-12)
+        assert got.ci_upper == pytest.approx(bounds[1], abs=1e-12)
+        if case == "tied_and_sparse":
+            assert EmptyCellError in failures
+            assert perturbed > 0
+        else:
+            assert got.failed == 0 and 0.0 < got.ci_lower < got.ci_upper < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta_batches())
+    def test_batch_equals_rows_one_by_one(self, batch):
+        values, k_w, k_e, tols = batch
+        h, errors = _h_batch(values, k_w, k_e, tols)
+        for i, row in enumerate(values):
+            try:
+                want = _h_raw(row, k_w, k_e, tols[i])
+            except ProxyShiftError as exc:
+                assert type(errors[i]) is type(exc)
+                assert str(errors[i]) == str(exc)
+                assert np.isnan(h[i])
+            else:
+                assert i not in errors
+                assert h[i] == want
+
+    def test_cell_table_matches_cell_loop(self):
+        rng = np.random.default_rng(17)
+        for k_y, k_x, k_w, k_e in [(2, 2, 2, 2), (3, 2, 1, 3), (2, 3, 4, 2), (2, 2, 3, 5)]:
+            for _ in range(5):
+                t = rng.integers(0, 3, size=(k_y, k_x, k_w, k_e))
+                v = rng.integers(0, 3, size=k_w)
+                counts = ContingencyCounts(t, v, int(t.sum() + v.sum()),
+                                           int(t.sum()), int(v.sum()))
+                x, y = int(rng.integers(k_x)), int(rng.integers(k_y))
+                table = _cell_table(counts, x, y, k_w, k_e)
+                want_counts, want_profiles = loop_cell_table(counts, x, y, k_w, k_e)
+                assert table.counts.dtype == want_counts.dtype
+                assert np.array_equal(table.counts, want_counts)
+                assert np.array_equal(table.profiles, want_profiles)
+
+
+class TestBootstrapFailures:
+    def test_programming_errors_propagate(self, monkeypatch):
+        real = reduced.stacked_right_pseudoinverse
+
+        def broken_for_resamples(matrices, rank_tol):
+            if len(matrices) > 1:
+                raise TypeError("injected")
+            return real(matrices, rank_tol)
+
+        monkeypatch.setattr(reduced, "stacked_right_pseudoinverse", broken_for_resamples)
+        ds = simulate_dataset(well_conditioned_spec(), 800, np.random.default_rng(9))
+        with pytest.raises(TypeError, match="injected"):
+            bootstrap_ci(ds, 0, 0, 20, rng=7, failure_budget=1.0)
+
+    def test_counts_default_to_zero(self):
+        boot = reduced.BootstrapCI(0.1, 0.2, 0.05)
+        assert boot.failed == 0 and boot.perturbed == 0
