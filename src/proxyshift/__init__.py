@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 from .baselines import no_adjustment, oracle_estimate, w_adjustment, wald_interval
 from .bench import (ExperimentConfig, ReplicateRecord, run_baseline_comparison,
                     run_coverage, run_point_error, run_runtime)
-from .categorical import (CategorySpec, ProbVector, StochasticMatrix,
-                          condition_number, numeric_row_rank,
+from .categorical import (CategorySpec, condition_number, numeric_row_rank,
                           right_pseudoinverse, validate_stochastic)
 from .causal import (FitOptions, ThetaParams, causal_estimate, fit_causal,
                      g_of_theta, log_likelihood, logits_to_theta)

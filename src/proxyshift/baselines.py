@@ -29,7 +29,7 @@ def oracle_estimate(y_draws, y: int) -> float:
     return float(np.mean(draws == y))
 
 
-def _scope_arrays(ds: Dataset, scope: str, need_w: bool):
+def _scope_arrays(ds: Dataset, scope: str):
     if scope == POOLED:
         src = ds.domain != TARGET
         return ds.w[src], ds.x[src], ds.y[src]
@@ -46,7 +46,7 @@ def _scope_arrays(ds: Dataset, scope: str, need_w: bool):
 
 def no_adjustment(ds: Dataset, x: int, y: int, scope: str = POOLED) -> float:
     """Conditional frequency of ``y`` given ``x``, ignoring confounding."""
-    _, xs, ys = _scope_arrays(ds, scope, need_w=False)
+    _, xs, ys = _scope_arrays(ds, scope)
     at_x = xs == x
     denom = int(at_x.sum())
     if denom == 0:
@@ -62,7 +62,7 @@ def w_adjustment(ds: Dataset, x: int, y: int, scope: str = POOLED) -> float:
     zero); a cell with positive weight but no treated records raises
     :class:`ZeroDenominatorError`.
     """
-    ws, xs, ys = _scope_arrays(ds, scope, need_w=True)
+    ws, xs, ys = _scope_arrays(ds, scope)
     n = ws.size
     if n == 0:
         raise ZeroDenominatorError(f"no {scope} records")

@@ -4,7 +4,9 @@ coverage, runtime.
 Every replicate's random stream is derived from the master seed together
 with the model and dataset indices, so results are a pure function of the
 configuration and are identical for any worker count or scheduling order.
-Per-replicate failures are recorded as explicit failure rows, never dropped.
+An estimation error in a replicate (a :class:`ProxyShiftError` or a
+``LinAlgError``) is recorded as an explicit failure row, never dropped; any
+other exception is a bug and aborts the study.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import no_adjustment, oracle_estimate, w_adjustment
+from .baselines import (POOLED, TARGET_SCOPE, no_adjustment, oracle_estimate,
+                        w_adjustment)
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
 from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
-from .reduced import bootstrap_ci, reduced_estimate, _proxy_matrix, _split_eta, eta_from_dataset
+from .reduced import EffectEstimate, bootstrap_ci, eta_from_dataset, reduced_estimate
 from .scm import (ScmSpec, interventional_sample, population_views,
                   sample_scm_spec, simulate_dataset, target_conditional,
                   true_effect)
@@ -31,7 +34,25 @@ _SALT_DATA = 2
 _SALT_ORACLE = 3
 _SALT_BOOT = 4
 
-ALL_ESTIMATORS = ("oracle", "reduced", "causal", "noadj", "noadj*", "wadj", "wadj*")
+# Each estimator as a call on (dataset, config, oracle draws).  The lambdas
+# look their functions up on this module when they run, so a wrapper set on
+# a module attribute (a tracer, a test's patch) sees every call.
+_ESTIMATORS = {
+    "oracle": lambda ds, c, draws: oracle_estimate(draws, c.y),
+    "reduced": lambda ds, c, draws: reduced_estimate(ds, c.x, c.y, alpha=c.alpha),
+    "causal": lambda ds, c, draws: causal_estimate(ds, c.x, c.y, c.fit_options),
+    "noadj": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, POOLED),
+    "noadj*": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, TARGET_SCOPE),
+    "wadj": lambda ds, c, draws: w_adjustment(ds, c.x, c.y, POOLED),
+    "wadj*": lambda ds, c, draws: w_adjustment(ds, c.x, c.y, TARGET_SCOPE),
+}
+ALL_ESTIMATORS = tuple(_ESTIMATORS)
+
+_COVERAGE_METHODS = ("reduced_asym", "reduced_boot")
+
+# What a replicate records as a failure row; any other exception is a bug
+# and propagates out of the study.
+_ESTIMATION_ERRORS = (ProxyShiftError, np.linalg.LinAlgError)
 
 CSV_HEADER = ("model,dataset,estimator,x,y,estimate,truth,abs_error,"
               "kappa_true,kappa_hat,ci_lower,ci_upper,covered,wall_time_s,error")
@@ -123,87 +144,86 @@ def _model_for(config: ExperimentConfig, candidate: int) -> ScmSpec:
 
 def _kappa_hat_from_data(ds, x: int, y: int) -> float | None:
     try:
-        eta = eta_from_dataset(ds, x, y)
-        return condition_number(_proxy_matrix(_split_eta(eta.values, eta.k_w, eta.k_e)))
-    except (ProxyShiftError, np.linalg.LinAlgError):
+        return eta_from_dataset(ds, x, y).kappa_hat
+    except _ESTIMATION_ERRORS:
         return None
 
 
 def _run_one_estimator(name: str, ds, spec: ScmSpec, config: ExperimentConfig,
                        candidate: int, dataset_idx: int):
-    """Returns (estimate, ci_lower, ci_upper, wall_time).  Timing wraps only
-    the estimator call, not data generation."""
-    x, y = config.x, config.y
+    """Returns (estimate, (ci_lower, ci_upper), wall_time).  Timing wraps only
+    the estimator call, not data generation (the oracle's draws included)."""
+    draws = None
     if name == "oracle":
         draws = interventional_sample(
-            spec, x, config.n_samples,
+            spec, config.x, config.n_samples,
             derive_rng(config.master_seed, _SALT_ORACLE, candidate, dataset_idx))
-        t0 = time.perf_counter()
-        value = oracle_estimate(draws, y)
-        return value, None, None, time.perf_counter() - t0
-    if name == "reduced":
-        t0 = time.perf_counter()
-        est = reduced_estimate(ds, x, y, alpha=config.alpha)
-        return est.point, est.ci_lower, est.ci_upper, time.perf_counter() - t0
-    if name == "causal":
-        t0 = time.perf_counter()
-        est = causal_estimate(ds, x, y, config.fit_options)
-        return est.point, None, None, time.perf_counter() - t0
-    if name == "noadj":
-        t0 = time.perf_counter()
-        return no_adjustment(ds, x, y, "pooled"), None, None, time.perf_counter() - t0
-    if name == "noadj*":
-        t0 = time.perf_counter()
-        return no_adjustment(ds, x, y, "target"), None, None, time.perf_counter() - t0
-    if name == "wadj":
-        t0 = time.perf_counter()
-        return w_adjustment(ds, x, y, "pooled"), None, None, time.perf_counter() - t0
-    if name == "wadj*":
-        t0 = time.perf_counter()
-        return w_adjustment(ds, x, y, "target"), None, None, time.perf_counter() - t0
-    raise ValidationError(f"unknown estimator {name!r}")
+    t0 = time.perf_counter()
+    result = _ESTIMATORS[name](ds, config, draws)
+    wall = time.perf_counter() - t0
+    if isinstance(result, EffectEstimate):
+        return result.point, (result.ci_lower, result.ci_upper), wall
+    return result, (None, None), wall
+
+
+def _shared_fields(config: ExperimentConfig, spec: ScmSpec, model_idx: int,
+                   dataset_idx: int) -> dict:
+    """The fields every record of one (model, dataset) replicate carries."""
+    x, y = config.x, config.y
+    return dict(model=model_idx, dataset=dataset_idx, x=x, y=y,
+                truth=true_effect(spec, x, y),
+                kappa_true=condition_number(population_views(spec, x, y).p_w_ex))
+
+
+def _row(shared: dict, estimator: str, kappa_hat: float | None,
+         estimate: float | None = None, ci: tuple = (None, None),
+         wall: float = 0.0, error: Exception | None = None) -> ReplicateRecord:
+    """One record: a failure row carrying ``error`` when it is given, else the
+    estimate with its interval, if any, and whether that covers the truth."""
+    if error is not None:
+        return ReplicateRecord(**shared, estimator=estimator, estimate=None,
+                               abs_error=None, kappa_hat=kappa_hat,
+                               error=f"{type(error).__name__}: {error}")
+    lo, hi = ci
+    truth = shared["truth"]
+    return ReplicateRecord(
+        **shared, estimator=estimator, estimate=estimate,
+        abs_error=abs(estimate - truth), kappa_hat=kappa_hat, ci_lower=lo,
+        ci_upper=hi, covered=(lo <= truth <= hi) if lo is not None else None,
+        wall_time_s=wall)
 
 
 def _replicate_task(args) -> list[ReplicateRecord]:
     config, model_idx, candidate, dataset_idx = args
-    x, y = config.x, config.y
     spec = _model_for(config, candidate)
-    truth = true_effect(spec, x, y)
-    kappa_true = condition_number(population_views(spec, x, y).p_w_ex)
-    needs_target_xy = any(e.endswith("*") for e in config.estimators)
+    shared = _shared_fields(config, spec, model_idx, dataset_idx)
     ds = simulate_dataset(
         spec, config.n_samples,
         derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx),
-        benchmark_mode=needs_target_xy)
-    kappa_hat = _kappa_hat_from_data(ds, x, y)
+        benchmark_mode=any(e.endswith("*") for e in config.estimators))
+    kappa_hat = _kappa_hat_from_data(ds, config.x, config.y)
 
     records = []
     for name in config.estimators:
         try:
-            value, lo, hi, wall = _run_one_estimator(
+            value, ci, wall = _run_one_estimator(
                 name, ds, spec, config, candidate, dataset_idx)
-            records.append(ReplicateRecord(
-                model=model_idx, dataset=dataset_idx, estimator=name, x=x, y=y,
-                estimate=value, truth=truth, abs_error=abs(value - truth),
-                kappa_true=kappa_true, kappa_hat=kappa_hat,
-                ci_lower=lo, ci_upper=hi,
-                covered=(lo <= truth <= hi) if lo is not None else None,
-                wall_time_s=wall))
-        except Exception as exc:
-            records.append(ReplicateRecord(
-                model=model_idx, dataset=dataset_idx, estimator=name, x=x, y=y,
-                estimate=None, truth=truth, abs_error=None,
-                kappa_true=kappa_true, kappa_hat=kappa_hat,
-                error=f"{type(exc).__name__}: {exc}"))
+        except _ESTIMATION_ERRORS as exc:
+            records.append(_row(shared, name, kappa_hat, error=exc))
+        else:
+            records.append(_row(shared, name, kappa_hat, value, ci, wall))
     return records
 
 
-def _run_tasks(config: ExperimentConfig, tasks) -> list[ReplicateRecord]:
+def _run_tasks(config: ExperimentConfig, task_fn, tasks) -> list[ReplicateRecord]:
+    """Map ``task_fn`` over ``tasks``, in a pool of ``config.workers``
+    processes when there is more than one, and return every task's records
+    sorted by (model, dataset, estimator)."""
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_replicate_task, tasks))
+            chunks = list(pool.map(task_fn, tasks))
     else:
-        chunks = [_replicate_task(t) for t in tasks]
+        chunks = [task_fn(t) for t in tasks]
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.model, r.dataset, r.estimator))
     return records
@@ -214,7 +234,7 @@ def run_point_error(config: ExperimentConfig) -> list[ReplicateRecord]:
     and estimated condition numbers per replicate."""
     tasks = [(config, m, m, d)
              for m in range(config.n_models) for d in range(config.n_datasets)]
-    return _run_tasks(config, tasks)
+    return _run_tasks(config, _replicate_task, tasks)
 
 
 def accepted_model_candidates(config: ExperimentConfig) -> list[int]:
@@ -244,41 +264,29 @@ def run_baseline_comparison(config: ExperimentConfig) -> list[ReplicateRecord]:
     candidates = accepted_model_candidates(cfg)
     tasks = [(cfg, m, c, d)
              for m, c in enumerate(candidates) for d in range(cfg.n_datasets)]
-    return _run_tasks(cfg, tasks)
+    return _run_tasks(cfg, _replicate_task, tasks)
 
 
 def _coverage_task(args) -> list[ReplicateRecord]:
     config, n, model_idx, dataset_idx = args
     x, y = config.x, config.y
     spec = _model_for(config, model_idx)
-    truth = true_effect(spec, x, y)
-    kappa_true = condition_number(population_views(spec, x, y).p_w_ex)
-    ds = simulate_dataset(
-        spec, n, derive_rng(config.master_seed, _SALT_DATA, model_idx, dataset_idx, n))
-    records = []
+    shared = _shared_fields(config, spec, model_idx, dataset_idx)
+    key = (model_idx, dataset_idx, n)
+    ds = simulate_dataset(spec, n, derive_rng(config.master_seed, _SALT_DATA, *key))
     try:
         est = reduced_estimate(ds, x, y, alpha=config.alpha)
-        records.append(ReplicateRecord(
-            model=model_idx, dataset=dataset_idx, estimator="reduced_asym", x=x, y=y,
-            estimate=est.point, truth=truth, abs_error=abs(est.point - truth),
-            kappa_true=kappa_true, kappa_hat=est.kappa_hat,
-            ci_lower=est.ci_lower, ci_upper=est.ci_upper,
-            covered=est.ci_lower <= truth <= est.ci_upper))
-        boot = bootstrap_ci(
-            ds, x, y, config.bootstrap_b, alpha=config.alpha,
-            rng=derive_rng(config.master_seed, _SALT_BOOT, model_idx, dataset_idx, n))
-        records.append(ReplicateRecord(
-            model=model_idx, dataset=dataset_idx, estimator="reduced_boot", x=x, y=y,
-            estimate=est.point, truth=truth, abs_error=abs(est.point - truth),
-            kappa_true=kappa_true, kappa_hat=est.kappa_hat,
-            ci_lower=boot.ci_lower, ci_upper=boot.ci_upper,
-            covered=boot.ci_lower <= truth <= boot.ci_upper))
-    except Exception as exc:
-        records.append(ReplicateRecord(
-            model=model_idx, dataset=dataset_idx, estimator="reduced_asym", x=x, y=y,
-            estimate=None, truth=truth, abs_error=None, kappa_true=kappa_true,
-            error=f"{type(exc).__name__}: {exc}"))
-    return records
+    except _ESTIMATION_ERRORS as exc:
+        return [_row(shared, method, None, error=exc) for method in _COVERAGE_METHODS]
+    asym = _row(shared, "reduced_asym", est.kappa_hat, est.point,
+                (est.ci_lower, est.ci_upper))
+    try:
+        boot = bootstrap_ci(ds, x, y, config.bootstrap_b, alpha=config.alpha,
+                            rng=derive_rng(config.master_seed, _SALT_BOOT, *key))
+    except _ESTIMATION_ERRORS as exc:
+        return [asym, _row(shared, "reduced_boot", est.kappa_hat, error=exc)]
+    return [asym, _row(shared, "reduced_boot", est.kappa_hat, est.point,
+                       (boot.ci_lower, boot.ci_upper))]
 
 
 def run_coverage(config: ExperimentConfig) -> tuple[list[ReplicateRecord], dict]:
@@ -294,16 +302,10 @@ def run_coverage(config: ExperimentConfig) -> tuple[list[ReplicateRecord], dict]
     for n in config.sweep:
         tasks = [(config, n, m, d)
                  for m in range(config.n_models) for d in range(config.n_datasets)]
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                chunks = list(pool.map(_coverage_task, tasks))
-        else:
-            chunks = [_coverage_task(t) for t in tasks]
-        n_records = [r for chunk in chunks for r in chunk]
-        n_records.sort(key=lambda r: (r.model, r.dataset, r.estimator))
+        n_records = _run_tasks(config, _coverage_task, tasks)
         records.extend(n_records)
         per_n = {}
-        for method in ("reduced_asym", "reduced_boot"):
+        for method in _COVERAGE_METHODS:
             rows = [r for r in n_records if r.estimator == method and r.error is None]
             if rows:
                 per_n[method] = {
@@ -327,18 +329,17 @@ def run_runtime(config: ExperimentConfig) -> dict:
     """
     out: dict = {}
     for n in config.sweep:
-        cfg_n = replace(config, n_samples=n, estimators=config.estimators)
+        cfg_n = replace(config, n_samples=n)
         spec = _model_for(cfg_n, 0)
-        needs_target_xy = any(e.endswith("*") for e in cfg_n.estimators)
         ds = simulate_dataset(spec, n,
                               derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n),
-                              benchmark_mode=needs_target_xy)
+                              benchmark_mode=any(e.endswith("*") for e in cfg_n.estimators))
         per_est = {}
         for name in cfg_n.estimators:
             value = None
             total = 0.0
             for _ in range(cfg_n.repetitions):
-                value, _, _, wall = _run_one_estimator(name, ds, spec, cfg_n, 0, 0)
+                value, _, wall = _run_one_estimator(name, ds, spec, cfg_n, 0, 0)
                 total += wall
             per_est[name] = {"total_seconds": total, "estimate": value}
         out[n] = per_est

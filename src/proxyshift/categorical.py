@@ -23,7 +23,7 @@ _SINGULAR_REL_CUTOFF = 1e-12
 
 
 def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(getattr(a, "values", a), dtype=float)
+    m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size == 0:
@@ -100,49 +100,6 @@ class CategorySpec:
             getattr(self, f) == getattr(other, f)
             for f in ("k_e", "k_u", "k_w", "k_x", "k_y",
                       "labels_e", "labels_u", "labels_w", "labels_x", "labels_y"))
-
-
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """A validated column-stochastic matrix of conditional probabilities."""
-
-    values: np.ndarray
-    strict_positive: bool = False
-
-    def __post_init__(self):
-        m = _as_matrix(self.values).copy()
-        report = validate_stochastic(m, strict_positive=self.strict_positive)
-        if report is not None:
-            raise ValidationError(report)
-        _freeze(self, "values", m)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ProbVector:
-    """A validated marginal pmf stored as a 1-d array."""
-
-    values: np.ndarray
-    strict_positive: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(getattr(self.values, "values", self.values), dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("expected a non-empty 1-d probability vector")
-        report = validate_stochastic(v[:, None], strict_positive=self.strict_positive)
-        if report is not None:
-            raise ValidationError(report)
-        _freeze(self, "values", v.copy())
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def right_pseudoinverse(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:

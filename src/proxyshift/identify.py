@@ -23,8 +23,7 @@ from .errors import (NoValidPartitionError, OutOfSupportError,
                      RankDeficiencyError, ValidationError)
 
 
-def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL,
-                    ridge: float = 0.0) -> float:
+def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL) -> float:
     """Causal effect from population (or plug-in) observables.
 
     ``p_y_ex``: outcome conditional over source domains, length ``k_e``.
@@ -32,9 +31,7 @@ def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL,
     ``q_w``: target proxy marginal, length ``k_w``.
 
     Raises :class:`RankDeficiencyError` when ``p_w_ex`` does not have full
-    row rank at ``rank_tol``.  ``ridge`` optionally adds ``ridge * I`` inside
-    the normal equations for exploratory use on near-deficient inputs; it is
-    off by default and does not bypass the rank check when zero.
+    row rank at ``rank_tol``.
     """
     a = _as_matrix(p_w_ex)
     p_y = np.asarray(p_y_ex, dtype=float).reshape(-1)
@@ -42,10 +39,6 @@ def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL,
     if p_y.size != a.shape[1] or q.size != a.shape[0]:
         raise ValidationError(
             f"inconsistent shapes: p_y_ex {p_y.size}, p_w_ex {a.shape}, q_w {q.size}")
-    if ridge > 0.0:
-        gram = a @ a.T + ridge * np.eye(a.shape[0])
-        pinv = a.T @ np.linalg.inv(gram)
-        return float(p_y @ pinv @ q)
     if numeric_row_rank(a, rank_tol) < a.shape[0]:
         kappa = condition_number(a)
         raise RankDeficiencyError(
@@ -105,10 +98,6 @@ class ProxyMapping:
         out = np.zeros((self.k_w_reduced,) + m.shape[1:])
         np.add.at(out, self.assignment, m)
         return out
-
-    def apply_to_codes(self, w_codes) -> np.ndarray:
-        """Relabel observed proxy categories."""
-        return self.assignment[np.asarray(w_codes, dtype=np.int64)]
 
 
 def _identity_mapping(k_w: int) -> ProxyMapping:

@@ -130,6 +130,11 @@ class EtaVector:
     def k_eta(self) -> int:
         return self.values.size
 
+    @property
+    def kappa_hat(self) -> float:
+        """Condition number of the estimated proxy conditional matrix."""
+        return condition_number(_proxy_matrix(_split_eta(self.values, self.k_w, self.k_e)))
+
 
 class _EtaParts(NamedTuple):
     """The pieces of a statistic vector (or of a batch, along leading axes)."""
@@ -359,7 +364,7 @@ def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
     values, perturbed, eval_tol = _rank_repair(eta.values[None], eta.k_w, eta.k_e, rank_tol)
     work = EtaVector(values[0], eta.cov, eta.n, eta.k_w, eta.k_e)
     point_u = h_of_eta(work, eval_tol[0])
-    kappa_hat = condition_number(_proxy_matrix(_split_eta(eta.values, eta.k_w, eta.k_e)))
+    kappa_hat = eta.kappa_hat
     grad = grad_h(work, eval_tol[0])
     sigma2 = float(grad @ work.cov @ grad)
     sigma_hat = math.sqrt(max(sigma2, 0.0))

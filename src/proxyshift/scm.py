@@ -23,7 +23,7 @@ MISSING = -1
 
 
 def _coerce(a, shape, name: str) -> np.ndarray:
-    arr = np.asarray(getattr(a, "values", a), dtype=float)
+    arr = np.asarray(a, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
@@ -157,12 +157,6 @@ class Dataset:
             y.append(MISSING if yi is None else int(yi))
         return cls(dims, np.array(domain, dtype=np.int64), np.array(w, dtype=np.int64),
                    np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
-
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset/reordering; drops benchmark-only columns."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.dims, self.domain[idx], self.w[idx],
-                       self.x[idx], self.y[idx])
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import proxyshift.bench as bench
 from proxyshift.bench import (ALL_ESTIMATORS, ExperimentConfig,
                               accepted_model_candidates, derive_rng,
                               run_baseline_comparison, run_coverage,
                               run_point_error, run_runtime)
 from proxyshift.categorical import CategorySpec
-from proxyshift.errors import FilterExhaustedError, ValidationError
+from proxyshift.errors import (BootstrapError, EmptyCellError,
+                               FilterExhaustedError, ValidationError)
 
 
 def small_config(**overrides):
@@ -106,6 +108,76 @@ class TestCoverage:
                               n_sweep=(800, 1600))
         _, summary = run_coverage(config)
         assert set(summary) == {800, 1600}
+
+
+    def test_bootstrap_failure_is_the_boot_row(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise BootstrapError("9/16 bootstrap resamples failed")
+        monkeypatch.setattr(bench, "bootstrap_ci", failing)
+        records, summary = run_coverage(small_config(n_models=1, bootstrap_b=16))
+        assert [(r.model, r.dataset, r.estimator) for r in records] == [
+            (0, d, m) for d in range(2) for m in ("reduced_asym", "reduced_boot")]
+        for r in records:
+            if r.estimator == "reduced_asym":
+                assert r.error is None and r.covered is not None
+            else:
+                assert r.error == "BootstrapError: 9/16 bootstrap resamples failed"
+                assert r.estimate is None and r.kappa_hat is not None
+        assert "reduced_boot" not in summary[1500]
+        assert summary[1500]["failures"] == 2
+
+    def test_estimate_failure_fails_both_rows(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise EmptyCellError("no target-domain records", cell="target")
+        monkeypatch.setattr(bench, "reduced_estimate", failing)
+        records, _ = run_coverage(small_config(n_models=1, bootstrap_b=16))
+        assert [(r.model, r.dataset, r.estimator) for r in records] == [
+            (0, d, m) for d in range(2) for m in ("reduced_asym", "reduced_boot")]
+        assert all(r.error == "EmptyCellError: no target-domain records"
+                   and r.estimate is None for r in records)
+
+
+# The bench attribute each estimator calls, and the scope argument that
+# singles it out where two estimators share a function.
+ESTIMATOR_CALLS = {
+    "oracle": ("oracle_estimate", None),
+    "reduced": ("reduced_estimate", None),
+    "causal": ("causal_estimate", None),
+    "noadj": ("no_adjustment", "pooled"),
+    "noadj*": ("no_adjustment", "target"),
+    "wadj": ("w_adjustment", "pooled"),
+    "wadj*": ("w_adjustment", "target"),
+}
+
+
+def inject_bug(monkeypatch, attr, scope=None):
+    """Make ``proxyshift.bench.<attr>`` raise a TypeError (only for calls
+    with the given scope argument, if one is given)."""
+    original = getattr(bench, attr)
+
+    def buggy(*args, **kwargs):
+        if scope is None or args[3:] == (scope,):
+            raise TypeError("injected bug")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, attr, buggy)
+
+
+class TestBugsPropagate:
+    """Only estimation errors become failure rows, and the estimators are
+    looked up on the module at call time, so a patched attribute is seen."""
+
+    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
+    def test_from_baseline_comparison(self, monkeypatch, estimator):
+        inject_bug(monkeypatch, *ESTIMATOR_CALLS[estimator])
+        with pytest.raises(TypeError, match="injected bug"):
+            run_baseline_comparison(small_config(n_models=1, n_datasets=1))
+
+    @pytest.mark.parametrize("attr", ["reduced_estimate", "bootstrap_ci"])
+    def test_from_coverage(self, monkeypatch, attr):
+        inject_bug(monkeypatch, attr)
+        with pytest.raises(TypeError, match="injected bug"):
+            run_coverage(small_config(n_models=1, n_datasets=1, bootstrap_b=16))
 
 
 class TestRuntime:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxyshift.categorical import (CategorySpec, ProbVector, StochasticMatrix,
-                                    condition_number, numeric_row_rank,
+from proxyshift.categorical import (CategorySpec, condition_number, numeric_row_rank,
                                     right_pseudoinverse, validate_stochastic)
 from proxyshift.errors import SingularMatrixError, ValidationError
 
@@ -56,21 +55,6 @@ class TestTypes:
             CategorySpec(k_e=2, k_u=1, k_w=1, k_x=1, k_y=1, labels_e=("a",))
         with pytest.raises(ValidationError):
             CategorySpec(k_e=2, k_u=1, k_w=1, k_x=1, k_y=1, labels_e=("a", "a"))
-
-    def test_stochastic_matrix_rejects_bad(self):
-        with pytest.raises(ValidationError):
-            StochasticMatrix(np.array([[0.5], [0.6]]))
-
-    def test_stochastic_matrix_is_immutable(self):
-        m = StochasticMatrix(np.array([[0.3, 0.6], [0.7, 0.4]]))
-        with pytest.raises(ValueError):
-            m.values[0, 0] = 0.5
-
-    def test_prob_vector(self):
-        v = ProbVector(np.array([0.25, 0.75]))
-        assert len(v) == 2
-        with pytest.raises(ValidationError):
-            ProbVector(np.array([0.25, 0.8]))
 
 
 class TestRightPseudoinverse:

@@ -62,11 +62,6 @@ class TestIdentifyEffect:
                 identify_effect(views.p_y_ex, views.p_w_ex, views.q_w)
             assert "condition number" in str(excinfo.value)
 
-    def test_ridge_opt_in_returns_a_value(self):
-        views = population_views(nonidentified_spec(1), 0, 0)
-        value = identify_effect(views.p_y_ex, views.p_w_ex, views.q_w, ridge=1e-6)
-        assert np.isfinite(value)
-
 
 class TestCausalDecomposition:
     def test_fixture_value(self):

@@ -130,7 +130,7 @@ class TestEtaFromDataset:
         spec = well_conditioned_spec()
         ds = simulate_dataset(spec, 2000, np.random.default_rng(5))
         perm = np.random.default_rng(6).permutation(ds.n)
-        shuffled = ds.take(perm)
+        shuffled = Dataset(ds.dims, ds.domain[perm], ds.w[perm], ds.x[perm], ds.y[perm])
         eta_a = eta_from_dataset(ds, 0, 0)
         eta_b = eta_from_dataset(shuffled, 0, 0)
         assert np.array_equal(eta_a.values, eta_b.values)
