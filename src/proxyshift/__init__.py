@@ -30,9 +30,8 @@ from .identify import (Partition, ProxyMapping, causal_decomposition_effect,
                        identify_effect, identify_total_effect_with_covariate,
                        reduce_proxy, search_partition)
 from .reduced import (BootstrapCI, EffectEstimate, EstimateFlags, EtaVector,
-                      bootstrap_ci, eta_from_dataset, grad_h, h_of_eta,
+                      bootstrap_ci, eta_from_counts, grad_h, h_of_eta,
                       normal_quantile, reduced_estimate)
 from .scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
-                  contingency_counts, interventional_sample, population_views,
-                  sample_scm_spec, simulate_dataset, target_conditional,
-                  true_effect)
+                  interventional_sample, population_views, sample_scm_spec,
+                  simulate_dataset, target_conditional, true_effect)

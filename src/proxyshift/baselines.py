@@ -1,9 +1,10 @@
 """Comparison estimators: oracle frequency, no adjustment, proxy adjustment.
 
-The pooled variants use the source records; the target variants use the
-treatment/outcome columns of target records, which exist only on datasets
-simulated in benchmark mode (that information is unavailable in practice, so
-these serve as references, not competing methods).
+Each baseline reads a ``(k_y, k_x, k_w)`` cell table: the pooled variants
+the source counts summed over domains, the target variants the hidden target
+cell counts, which exist only on counts simulated in benchmark mode (that
+information is unavailable in practice, so these serve as references, not
+competing methods).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError, ZeroDenominatorError
 from .reduced import normal_quantile
-from .scm import TARGET, Dataset
+from .scm import ContingencyCounts
 
 POOLED = "pooled"
 TARGET_SCOPE = "target"
@@ -29,32 +30,29 @@ def oracle_estimate(y_draws, y: int) -> float:
     return float(np.mean(draws == y))
 
 
-def _scope_arrays(ds: Dataset, scope: str):
+def _scope_table(counts: ContingencyCounts, scope: str) -> np.ndarray:
+    """The ``(k_y, k_x, k_w)`` cell counts a baseline reads in ``scope``."""
     if scope == POOLED:
-        src = ds.domain != TARGET
-        return ds.w[src], ds.x[src], ds.y[src]
+        return counts.n_yxwe.sum(axis=3)
     if scope == TARGET_SCOPE:
-        if ds.target_xy is None:
+        if counts.n_yxw_target is None:
             raise ValidationError(
-                "target-scope baselines need a benchmark-mode dataset carrying "
-                "the hidden target treatment/outcome columns")
-        tgt = ds.domain == TARGET
-        tx, ty = ds.target_xy
-        return ds.w[tgt], tx, ty
+                "target-scope baselines need benchmark-mode counts carrying "
+                "the hidden target treatment/outcome cells")
+        return counts.n_yxw_target
     raise ValidationError(f"unknown scope {scope!r}, expected 'pooled' or 'target'")
 
 
-def no_adjustment(ds: Dataset, x: int, y: int, scope: str = POOLED) -> float:
+def no_adjustment(counts: ContingencyCounts, x: int, y: int, scope: str = POOLED) -> float:
     """Conditional frequency of ``y`` given ``x``, ignoring confounding."""
-    _, xs, ys = _scope_arrays(ds, scope)
-    at_x = xs == x
+    at_x = _scope_table(counts, scope)[:, x]
     denom = int(at_x.sum())
     if denom == 0:
         raise ZeroDenominatorError(f"no {scope} records with the requested treatment")
-    return float(np.mean(ys[at_x] == y))
+    return float(at_x[y].sum() / denom)
 
 
-def w_adjustment(ds: Dataset, x: int, y: int, scope: str = POOLED) -> float:
+def w_adjustment(counts: ContingencyCounts, x: int, y: int, scope: str = POOLED) -> float:
     """Adjustment formula evaluated with the proxy in place of the
     confounder.
 
@@ -62,22 +60,20 @@ def w_adjustment(ds: Dataset, x: int, y: int, scope: str = POOLED) -> float:
     zero); a cell with positive weight but no treated records raises
     :class:`ZeroDenominatorError`.
     """
-    ws, xs, ys = _scope_arrays(ds, scope)
-    n = ws.size
+    table = _scope_table(counts, scope)
+    n = int(table.sum())
     if n == 0:
         raise ZeroDenominatorError(f"no {scope} records")
     total = 0.0
-    for wj in range(ds.dims.k_w):
-        at_w = ws == wj
-        weight = at_w.sum() / n
+    for wj in range(table.shape[2]):
+        weight = table[:, :, wj].sum() / n
         if weight == 0.0:
             continue
-        at_wx = at_w & (xs == x)
-        denom = int(at_wx.sum())
+        denom = int(table[:, x, wj].sum())
         if denom == 0:
             raise ZeroDenominatorError(
                 f"no {scope} records with the requested treatment and proxy cell {wj}")
-        total += float(np.mean(ys[at_wx] == y)) * weight
+        total += float(table[y, x, wj] / denom) * weight
     return total
 
 

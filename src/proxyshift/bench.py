@@ -22,7 +22,7 @@ from .baselines import (POOLED, TARGET_SCOPE, no_adjustment, oracle_estimate,
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
 from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
-from .reduced import EffectEstimate, bootstrap_ci, eta_from_dataset, reduced_estimate
+from .reduced import EffectEstimate, bootstrap_ci, eta_from_counts, reduced_estimate
 from .scm import (ScmSpec, interventional_sample, population_views,
                   sample_scm_spec, simulate_dataset, target_conditional,
                   true_effect)
@@ -40,7 +40,7 @@ _SALT_BOOT = 4
 _ESTIMATORS = {
     "oracle": lambda ds, c, draws: oracle_estimate(draws, c.y),
     "reduced": lambda ds, c, draws: reduced_estimate(ds, c.x, c.y, alpha=c.alpha),
-    "causal": lambda ds, c, draws: causal_estimate(ds, c.x, c.y, c.fit_options),
+    "causal": lambda ds, c, draws: causal_estimate(ds, c.x, c.y, c.fit_options, k_u=c.dims.k_u),
     "noadj": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, POOLED),
     "noadj*": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, TARGET_SCOPE),
     "wadj": lambda ds, c, draws: w_adjustment(ds, c.x, c.y, POOLED),
@@ -97,6 +97,11 @@ class ExperimentConfig:
     def sweep(self) -> tuple[int, ...]:
         return self.n_sweep if self.n_sweep else (self.n_samples,)
 
+    @property
+    def benchmark_mode(self) -> bool:
+        """Whether datasets keep the hidden target cells for ``*`` baselines."""
+        return any(e.endswith("*") for e in self.estimators)
+
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -144,7 +149,7 @@ def _model_for(config: ExperimentConfig, candidate: int) -> ScmSpec:
 
 def _kappa_hat_from_data(ds, x: int, y: int) -> float | None:
     try:
-        return eta_from_dataset(ds, x, y).kappa_hat
+        return eta_from_counts(ds, x, y).kappa_hat
     except _ESTIMATION_ERRORS:
         return None
 
@@ -200,7 +205,7 @@ def _replicate_task(args) -> list[ReplicateRecord]:
     ds = simulate_dataset(
         spec, config.n_samples,
         derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx),
-        benchmark_mode=any(e.endswith("*") for e in config.estimators))
+        benchmark_mode=config.benchmark_mode)
     kappa_hat = _kappa_hat_from_data(ds, config.x, config.y)
 
     records = []
@@ -333,7 +338,7 @@ def run_runtime(config: ExperimentConfig) -> dict:
         spec = _model_for(cfg_n, 0)
         ds = simulate_dataset(spec, n,
                               derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n),
-                              benchmark_mode=any(e.endswith("*") for e in cfg_n.estimators))
+                              benchmark_mode=cfg_n.benchmark_mode)
         per_est = {}
         for name in cfg_n.estimators:
             value = None

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .reduced import EffectEstimate, EstimateFlags
-from .scm import ContingencyCounts, Dataset, contingency_counts
+from .scm import ContingencyCounts
 
 
 @dataclass(frozen=True)
@@ -257,19 +257,16 @@ def g_of_theta(theta: ThetaParams | ThetaProbs, x: int, y: int) -> float:
     return float(inner @ probs.q_u)
 
 
-def causal_estimate(ds: Dataset, x: int, y: int,
-                    opts: FitOptions | None = None,
-                    k_u: int | None = None) -> EffectEstimate:
-    """Fit the mechanism on a dataset and read off the effect.
+def causal_estimate(counts: ContingencyCounts, x: int, y: int,
+                    opts: FitOptions | None = None, *, k_u: int) -> EffectEstimate:
+    """Fit a mechanism with ``k_u`` confounder levels and read off the effect.
 
-    ``k_u`` defaults to the dataset's declared confounder cardinality;
-    passing a different value fits a deliberately misspecified mechanism.
-    The point is already a probability, so no clipping is applied and no
-    confidence interval is produced.
+    ``k_u`` is not derivable from the counts; a value other than the true
+    cardinality fits a deliberately misspecified mechanism.  The point is
+    already a probability, so no clipping is applied and no confidence
+    interval is produced.
     """
-    counts = contingency_counts(ds)
-    fit_k_u = ds.dims.k_u if k_u is None else k_u
-    theta, _ = fit_causal(counts, opts, k_u=fit_k_u)
+    theta, _ = fit_causal(counts, opts, k_u=k_u)
     point = g_of_theta(theta, x, y)
     return EffectEstimate(point=point, point_unclipped=point, n=counts.n,
                           flags=EstimateFlags())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .bench import (ExperimentConfig, run_baseline_comparison, run_coverage,
                     run_point_error, run_runtime)
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
-from .errors import ProxyShiftError
+from .errors import DatasetFormatError, ProxyShiftError
 from .fileio import (atomic_write_text, dims_from_dict, load_dataset, load_dims,
                      load_model, save_dataset, save_dims, save_model, write_json,
                      write_records_csv)
@@ -184,14 +184,15 @@ def _cmd_estimate(args) -> int:
                                 "sigma_boot": boot.sigma_boot, "b": args.bootstrap,
                                 "failed": boot.failed, "perturbed": boot.perturbed}
     elif args.method == "causal":
-        est = causal_estimate(ds, x, y, FitOptions(seed=args.seed), k_u=args.k_u_fit)
+        k_u = dims.k_u if args.k_u_fit is None else args.k_u_fit
+        est = causal_estimate(ds, x, y, FitOptions(seed=args.seed), k_u=k_u)
         out.update(est.to_dict())
-        if args.k_u_fit is not None and args.k_u_fit != dims.k_u:
-            out["k_u_fit"] = args.k_u_fit
+        if k_u != dims.k_u:
+            out["k_u_fit"] = k_u
             out["k_u_overridden"] = True
     elif args.method == "noadj":
         point = no_adjustment(ds, x, y)
-        lo, hi = wald_interval(point, int(np.sum(ds.x == x)), args.alpha)
+        lo, hi = wald_interval(point, int(ds.n_yxwe[:, x].sum()), args.alpha)
         out.update({"point": point, "ci_lower": lo, "ci_upper": hi,
                     "alpha": args.alpha, "n": ds.n})
     else:  # wadj
@@ -211,16 +212,28 @@ def _cmd_identify(args) -> int:
     return 0
 
 
+def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
+    """Refuse a missing ``required`` key, or a key not a field of ``cls``."""
+    for key in required:
+        if key not in doc:
+            raise DatasetFormatError(f"{what} is missing key {key!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)}) if cls else []
+    if unknown:
+        raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
+
+
 def _config_from_file(path) -> ExperimentConfig:
     with open(path) as handle:
         doc = json.load(handle)
+    _check_keys(doc, "config file", ("dims",), ExperimentConfig)
     dims = dims_from_dict(doc.pop("dims"))
-    fit = FitOptions(**doc.pop("fit_options")) if "fit_options" in doc else FitOptions()
+    fit_doc = doc.pop("fit_options", {})
+    _check_keys(fit_doc, "config fit_options", cls=FitOptions)
     if "n_sweep" in doc and doc["n_sweep"] is not None:
         doc["n_sweep"] = tuple(doc["n_sweep"])
     if "estimators" in doc:
         doc["estimators"] = tuple(doc["estimators"])
-    return ExperimentConfig(dims=dims, fit_options=fit, **doc)
+    return ExperimentConfig(dims=dims, fit_options=FitOptions(**fit_doc), **doc)
 
 
 def _cmd_bench(args) -> int:
@@ -276,6 +289,7 @@ def _cmd_discretize(args) -> int:
     else:
         with open(args.partition) as handle:
             doc = json.load(handle)
+        _check_keys(doc, "partition file", ("edges",))
         partition = Partition(tuple(doc["edges"]),
                               lower=doc.get("lower", float("-inf")),
                               upper=doc.get("upper", float("inf")))

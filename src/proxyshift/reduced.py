@@ -1,8 +1,8 @@
 """Plug-in estimator over the observable statistic vector, with confidence
 intervals.
 
-For a fixed ``(x, y)`` the estimator summarises the sample by a vector of
-empirical cell probabilities (the mean of per-record indicator vectors),
+For a fixed ``(x, y)`` the estimator summarises the sample's counts by a
+vector of empirical cell probabilities (the mean of per-record indicators),
 rebuilds the three pieces of the identification formula from it by ratios
 and complements, and applies the pseudo-inverse adjustment.  Asymptotic
 normality of the indicator means propagates through the map by the delta
@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .categorical import (RANK_REL_TOL, condition_number, stacked_right_pseudoinverse,
-                          stacked_row_rank)
+from .categorical import (RANK_REL_TOL, _freeze, condition_number,
+                          stacked_right_pseudoinverse, stacked_row_rank)
 from .errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
-from .scm import ContingencyCounts, Dataset, contingency_counts
+from .scm import ContingencyCounts
 
 #: Additive perturbation applied to the proxy-cell components when the
 #: estimated proxy conditional matrix is rank-deficient (keeps the
@@ -119,12 +119,8 @@ class EtaVector:
             raise ValidationError(
                 f"eta vector/covariance shapes {v.shape}/{c.shape} do not match "
                 f"k_eta={k_eta}")
-        v = v.copy()
-        c = c.copy()
-        v.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cov", c)
+        _freeze(self, "values", v.copy())
+        _freeze(self, "cov", c.copy())
 
     @property
     def k_eta(self) -> int:
@@ -209,13 +205,6 @@ def eta_from_counts(counts: ContingencyCounts, x: int, y: int) -> EtaVector:
     cov = factor * centred
     cov = 0.5 * (cov + cov.T)
     return EtaVector(mean, cov, n, k_w, k_e)
-
-
-def eta_from_dataset(ds: Dataset, x: int, y: int) -> EtaVector:
-    """Statistic vector for one ``(x, y)`` computed from raw records."""
-    if ds.n == 0:
-        raise EmptyCellError("dataset is empty", cell="all")
-    return eta_from_counts(contingency_counts(ds), x, y)
 
 
 def _proxy_matrix(parts: _EtaParts) -> np.ndarray:
@@ -348,7 +337,7 @@ def _clip01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
+def reduced_estimate(counts: ContingencyCounts, x: int, y: int, alpha: float = 0.05,
                      rank_tol: float = RANK_REL_TOL) -> EffectEstimate:
     """Point estimate with a delta-method confidence interval.
 
@@ -360,7 +349,7 @@ def reduced_estimate(ds: Dataset, x: int, y: int, alpha: float = 0.05,
     applied and recorded in the flags.  The delta-method gradient is one
     batched evaluation of the map (see :func:`grad_h`).
     """
-    eta = eta_from_dataset(ds, x, y)
+    eta = eta_from_counts(counts, x, y)
     values, perturbed, eval_tol = _rank_repair(eta.values[None], eta.k_w, eta.k_e, rank_tol)
     work = EtaVector(values[0], eta.cov, eta.n, eta.k_w, eta.k_e)
     point_u = h_of_eta(work, eval_tol[0])
@@ -395,8 +384,8 @@ class BootstrapCI(NamedTuple):
     perturbed: int = 0
 
 
-def bootstrap_ci(ds: Dataset, x: int, y: int, n_boot: int, alpha: float = 0.05,
-                 rng: np.random.Generator | int | None = None,
+def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
+                 alpha: float = 0.05, rng: np.random.Generator | int | None = None,
                  rank_tol: float = RANK_REL_TOL,
                  failure_budget: float = 0.1) -> BootstrapCI:
     """Normal-approximation bootstrap interval for the plug-in estimator.
@@ -418,7 +407,6 @@ def bootstrap_ci(ds: Dataset, x: int, y: int, n_boot: int, alpha: float = 0.05,
     """
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
-    counts = contingency_counts(ds)
     k_w, k_e = counts.n_yxwe.shape[2], counts.n_yxwe.shape[3]
     table = _cell_table(counts, x, y, k_w, k_e)
     probs = table.counts / table.n

@@ -8,7 +8,7 @@ are 0-based in memory (file formats are 1-based, see :mod:`proxyshift.fileio`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,16 +79,58 @@ class ScmSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class ContingencyCounts:
+    """Sufficient statistics: a ``(k_y, k_x, k_w, k_e)`` source count tensor,
+    the target proxy counts and, only for records simulated in benchmark mode,
+    the hidden ``(k_y, k_x, k_w)`` target cell counts that the target-scope
+    baselines read.  The counts of disjoint record sets add."""
+
+    n_yxwe: np.ndarray
+    n_w_target: np.ndarray
+    n_yxw_target: np.ndarray | None = None
+
+    def __post_init__(self):
+        t = np.asarray(self.n_yxwe, dtype=np.int64)
+        v = np.asarray(self.n_w_target, dtype=np.int64)
+        if t.ndim != 4 or v.shape != t.shape[2:3]:
+            raise ValidationError("count tensor must be 4-d and target counts of length k_w")
+        _freeze(self, "n_yxwe", t.copy())
+        _freeze(self, "n_w_target", v.copy())
+        if self.n_yxw_target is not None:
+            h = np.asarray(self.n_yxw_target, dtype=np.int64)
+            if h.shape != t.shape[:3] or not np.array_equal(h.sum(axis=(0, 1)), v):
+                raise ValidationError("hidden target counts must be (k_y, k_x, k_w) "
+                                      "and sum to the target proxy counts")
+            _freeze(self, "n_yxw_target", h.copy())
+
+    @property
+    def n_src(self) -> int:
+        return int(self.n_yxwe.sum())
+
+    @property
+    def n_tgt(self) -> int:
+        return int(self.n_w_target.sum())
+
+    @property
+    def n(self) -> int:
+        return self.n_src + self.n_tgt
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset(ContingencyCounts):
     """Unit records ``(domain, w, x, y)`` stored as parallel index arrays.
 
     ``domain`` is a 0-based source index or :data:`TARGET`; ``x`` and ``y``
     are :data:`MISSING` exactly on target records.  ``target_xy`` carries the
     hidden treatment/outcome columns of target records and is only populated
     by the simulator in benchmark mode, so the estimation pipeline can never
-    silently use information that is unavailable in practice.
+    silently use information that is unavailable in practice.  The records
+    are counted once, on construction; estimators read only the counts.
     """
 
+    n_yxwe: np.ndarray = field(init=False, repr=False)
+    n_w_target: np.ndarray = field(init=False, repr=False)
+    n_yxw_target: np.ndarray | None = field(init=False, repr=False, default=None)
     dims: CategorySpec
     domain: np.ndarray
     w: np.ndarray
@@ -98,21 +140,17 @@ class Dataset:
 
     def __post_init__(self):
         d = self.dims
-        arrays = {}
-        n = None
-        for name in ("domain", "w", "x", "y"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} must be 1-d")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValidationError("record arrays must have equal length")
-            arrays[name] = arr
-        src = arrays["domain"] != TARGET
-        if np.any((arrays["domain"][src] < 0) | (arrays["domain"][src] >= d.k_e)):
+        arrays = {name: np.asarray(getattr(self, name), dtype=np.int64)
+                  for name in ("domain", "w", "x", "y")}
+        if any(arr.ndim != 1 for arr in arrays.values()):
+            raise ValidationError("record arrays must be 1-d")
+        if len({arr.size for arr in arrays.values()}) > 1:
+            raise ValidationError("record arrays must have equal length")
+        domain, w, x, y = arrays.values()
+        src = domain != TARGET
+        if np.any((domain[src] < 0) | (domain[src] >= d.k_e)):
             raise ValidationError("source domain index out of range")
-        if np.any((arrays["w"] < 0) | (arrays["w"] >= d.k_w)):
+        if np.any((w < 0) | (w >= d.k_w)):
             raise ValidationError("w index out of range")
         for name, k in (("x", d.k_x), ("y", d.k_y)):
             arr = arrays[name]
@@ -120,81 +158,42 @@ class Dataset:
                 raise ValidationError(f"target records must not carry {name}")
             if np.any((arr[src] < 0) | (arr[src] >= k)):
                 raise ValidationError(f"{name} missing or out of range on a source record")
+        # One bincount: source cells, then target proxy cells.  It runs before the
+        # records are copied, with one key array, so it adds nothing to peak memory.
+        cells = d.k_y * d.k_x * d.k_w * d.k_e
+        key = ((y * d.k_x + x) * d.k_w + w) * d.k_e + domain
+        key[~src] = cells + w[~src]
+        counts = np.bincount(key, minlength=cells + d.k_w)
+        object.__setattr__(self, "n_yxwe", counts[:cells].reshape(d.k_y, d.k_x, d.k_w, d.k_e))
+        object.__setattr__(self, "n_w_target", counts[cells:])
+        del key
         for name, arr in arrays.items():
             _freeze(self, name, arr.copy())
         if self.target_xy is not None:
-            tx = np.asarray(self.target_xy[0], dtype=np.int64)
-            ty = np.asarray(self.target_xy[1], dtype=np.int64)
-            n_tgt = int(np.count_nonzero(~src))
-            if tx.size != n_tgt or ty.size != n_tgt:
+            tx, ty = (np.asarray(a, dtype=np.int64) for a in self.target_xy)
+            if tx.size != w[~src].size or ty.size != tx.size:
                 raise ValidationError("target_xy length must match the target record count")
-            tx.flags.writeable = False
-            ty.flags.writeable = False
+            if np.any((tx < 0) | (tx >= d.k_x)) or np.any((ty < 0) | (ty >= d.k_y)):
+                raise ValidationError("target_xy index out of range")
+            tx.flags.writeable = ty.flags.writeable = False
             object.__setattr__(self, "target_xy", (tx, ty))
-
-    @property
-    def n(self) -> int:
-        return self.domain.size
-
-    @property
-    def n_src(self) -> int:
-        return int(np.count_nonzero(self.domain != TARGET))
-
-    @property
-    def n_tgt(self) -> int:
-        return self.n - self.n_src
+            hidden = np.bincount((ty * d.k_x + tx) * d.k_w + w[~src],
+                                 minlength=d.k_y * d.k_x * d.k_w)
+            object.__setattr__(self, "n_yxw_target", hidden.reshape(d.k_y, d.k_x, d.k_w))
+        super().__post_init__()
 
     @classmethod
     def from_records(cls, records, dims: CategorySpec) -> "Dataset":
         """Build a dataset from ``(domain, w, x, y)`` tuples (0-based, or
         ``TARGET``/``None`` markers for target rows)."""
         domain, w, x, y = [], [], [], []
-        for rec in records:
-            dom, wi, xi, yi = rec
+        for dom, wi, xi, yi in records:
             domain.append(TARGET if dom == TARGET else int(dom))
             w.append(int(wi))
             x.append(MISSING if xi is None else int(xi))
             y.append(MISSING if yi is None else int(yi))
         return cls(dims, np.array(domain, dtype=np.int64), np.array(w, dtype=np.int64),
                    np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
-
-
-@dataclass(frozen=True, eq=False)
-class ContingencyCounts:
-    """Sufficient statistics: a ``(k_y, k_x, k_w, k_e)`` source count tensor
-    plus the target proxy counts."""
-
-    n_yxwe: np.ndarray
-    n_w_target: np.ndarray
-    n: int
-    n_src: int
-    n_tgt: int
-
-    def __post_init__(self):
-        t = np.asarray(self.n_yxwe, dtype=np.int64)
-        v = np.asarray(self.n_w_target, dtype=np.int64)
-        if t.ndim != 4 or v.ndim != 1:
-            raise ValidationError("count tensor must be 4-d and target counts 1-d")
-        if int(t.sum()) != self.n_src:
-            raise ValidationError("source count tensor does not sum to n_src")
-        if int(v.sum()) != self.n_tgt:
-            raise ValidationError("target counts do not sum to n_tgt")
-        if self.n != self.n_src + self.n_tgt:
-            raise ValidationError("n must equal n_src + n_tgt")
-        _freeze(self, "n_yxwe", t.copy())
-        _freeze(self, "n_w_target", v.copy())
-
-
-def contingency_counts(ds: Dataset) -> ContingencyCounts:
-    """Aggregate a dataset into its sufficient-statistic count tables."""
-    d = ds.dims
-    src = ds.domain != TARGET
-    key = ((ds.y[src] * d.k_x + ds.x[src]) * d.k_w + ds.w[src]) * d.k_e + ds.domain[src]
-    n_yxwe = np.bincount(key, minlength=d.k_y * d.k_x * d.k_w * d.k_e)
-    n_yxwe = n_yxwe.reshape(d.k_y, d.k_x, d.k_w, d.k_e)
-    n_w_target = np.bincount(ds.w[~src], minlength=d.k_w)
-    return ContingencyCounts(n_yxwe, n_w_target, ds.n, int(src.sum()),
-                             int((~src).sum()))
 
 
 def sample_scm_spec(dims: CategorySpec, rng: np.random.Generator) -> ScmSpec:

@@ -22,9 +22,9 @@ from proxyshift.errors import RankDeficiencyError
 from proxyshift.identify import (causal_decomposition_effect, identify_effect,
                                  identify_total_effect_with_covariate,
                                  reduce_proxy)
-from proxyshift.reduced import bootstrap_ci, grad_h, eta_from_dataset, reduced_estimate
-from proxyshift.scm import (contingency_counts, population_views,
-                            sample_scm_spec, simulate_dataset, true_effect)
+from proxyshift.reduced import bootstrap_ci, grad_h, eta_from_counts, reduced_estimate
+from proxyshift.scm import (population_views, sample_scm_spec, simulate_dataset,
+                            true_effect)
 
 from conftest import nonidentified_spec, well_conditioned_spec
 from test_identify import CovariateModel, brute_force_effect, rank_limited_stochastic
@@ -145,7 +145,8 @@ def test_criterion_04_consistency_sweep():
         for rep in range(25):
             ds = simulate_dataset(spec, n, derive_rng(4040, n, rep))
             red.append(abs(reduced_estimate(ds, 0, 0).point - truth))
-            cau.append(abs(causal_estimate(ds, 0, 0, FitOptions(seed=rep)).point
+            cau.append(abs(causal_estimate(ds, 0, 0, FitOptions(seed=rep),
+                                           k_u=spec.dims.k_u).point
                            - truth))
         medians["reduced"].append(float(np.median(red)))
         medians["causal"].append(float(np.median(cau)))
@@ -256,7 +257,7 @@ def test_criterion_09_gradient_checks():
     for _ in range(20):
         spec = sample_scm_spec(dims, rng)
         ds = simulate_dataset(spec, int(rng.integers(300, 2000)), rng)
-        counts = contingency_counts(ds)
+        counts = ds
         theta = ThetaParams(rng.normal(size=(2, 2)), rng.normal(size=2),
                             rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                             rng.normal(size=(2, 2, 2, 2)))
@@ -279,7 +280,7 @@ def test_criterion_09_gradient_checks():
     worst_h = 0.0
     for rep in range(5):
         ds = simulate_dataset(spec, 20_000, derive_rng(910, rep))
-        eta = eta_from_dataset(ds, 0, 0)
+        eta = eta_from_counts(ds, 0, 0)
         g_full = grad_h(eta)
         g_half = np.empty_like(g_full)
         base = eta.values

@@ -12,8 +12,8 @@ from proxyshift.causal import (FitOptions, ThetaParams, _observable_probs,
                                logits_to_theta)
 from proxyshift.errors import ValidationError
 from proxyshift.identify import causal_decomposition_effect
-from proxyshift.scm import (ContingencyCounts, contingency_counts,
-                            sample_scm_spec, simulate_dataset, true_effect)
+from proxyshift.scm import (ContingencyCounts, sample_scm_spec, simulate_dataset,
+                            true_effect)
 
 from conftest import nonidentified_spec, well_conditioned_spec
 
@@ -28,7 +28,7 @@ def theta_from_spec(spec) -> ThetaParams:
 def random_counts(rng, dims) -> ContingencyCounts:
     spec = sample_scm_spec(dims, rng)
     ds = simulate_dataset(spec, int(rng.integers(200, 3000)), rng)
-    return contingency_counts(ds)
+    return ds
 
 
 def random_theta(rng, k_u, k_e, k_w, k_x, k_y) -> ThetaParams:
@@ -81,19 +81,19 @@ class TestLogitsToTheta:
 class TestLogLikelihood:
     def test_empty_counts(self):
         counts = ContingencyCounts(np.zeros((2, 2, 2, 2), dtype=int),
-                                   np.zeros(2, dtype=int), 0, 0, 0)
+                                   np.zeros(2, dtype=int))
         theta = random_theta(np.random.default_rng(2), 2, 2, 2, 2, 2)
         assert log_likelihood(theta, counts) == 0.0
 
     def test_all_singleton_axes(self):
-        counts = ContingencyCounts(np.full((1, 1, 1, 1), 5), np.array([3]), 8, 5, 3)
+        counts = ContingencyCounts(np.full((1, 1, 1, 1), 5), np.array([3]))
         theta = random_theta(np.random.default_rng(3), 1, 1, 1, 1, 1)
         assert log_likelihood(theta, counts) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_record_uniform_parameters(self):
         tensor = np.zeros((2, 2, 2, 1), dtype=int)
         tensor[0, 0, 0, 0] = 1
-        counts = ContingencyCounts(tensor, np.zeros(2, dtype=int), 1, 1, 0)
+        counts = ContingencyCounts(tensor, np.zeros(2, dtype=int))
         theta = ThetaParams(np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2)),
                             np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
         # mixture of two confounder levels, each contributing (1/2)^4
@@ -135,7 +135,7 @@ class TestFitCausal:
     def test_deterministic_given_seed(self):
         ds = simulate_dataset(well_conditioned_spec(), 3000,
                               np.random.default_rng(5))
-        counts = contingency_counts(ds)
+        counts = ds
         a, _ = fit_causal(counts, FitOptions(seed=9), k_u=2)
         b, _ = fit_causal(counts, FitOptions(seed=9), k_u=2)
         assert np.array_equal(a.flatten(), b.flatten())
@@ -143,7 +143,7 @@ class TestFitCausal:
     def test_fit_beats_truth_logits_on_large_sample(self):
         spec = well_conditioned_spec()
         ds = simulate_dataset(spec, 200_000, np.random.default_rng(6))
-        counts = contingency_counts(ds)
+        counts = ds
         theta, diag = fit_causal(counts, FitOptions(seed=2), k_u=2)
         assert diag.log_likelihood >= log_likelihood(theta_from_spec(spec), counts)
         assert diag.improved
@@ -151,7 +151,7 @@ class TestFitCausal:
     def test_restarts_return_best(self):
         ds = simulate_dataset(well_conditioned_spec(), 2000,
                               np.random.default_rng(7))
-        counts = contingency_counts(ds)
+        counts = ds
         _, diag1 = fit_causal(counts, FitOptions(seed=3, restarts=1), k_u=2)
         _, diag3 = fit_causal(counts, FitOptions(seed=3, restarts=3), k_u=2)
         assert diag3.log_likelihood >= diag1.log_likelihood - 1e-9
@@ -162,7 +162,7 @@ class TestFitCausal:
         dims = CategorySpec(k_e=1, k_u=1, k_w=2, k_x=2, k_y=2)
         spec = sample_scm_spec(dims, np.random.default_rng(31))
         ds = simulate_dataset(spec, 2_000_000, np.random.default_rng(32))
-        counts = contingency_counts(ds)
+        counts = ds
         theta, _ = fit_causal(counts, FitOptions(seed=1), k_u=1)
         m, _ = _observable_probs(logits_to_theta(theta))
         empirical = counts.n_yxwe[:, :, :, 0] / counts.n_src
@@ -179,12 +179,12 @@ class TestFitCausal:
     def test_requires_k_u(self):
         ds = simulate_dataset(well_conditioned_spec(), 100, np.random.default_rng(8))
         with pytest.raises(ValidationError):
-            fit_causal(contingency_counts(ds), FitOptions())
+            fit_causal(ds, FitOptions())
 
     def test_large_sample_fit_matches_domain_tables(self):
         spec = well_conditioned_spec()
         ds = simulate_dataset(spec, 400_000, np.random.default_rng(16))
-        counts = contingency_counts(ds)
+        counts = ds
         theta, _ = fit_causal(counts, FitOptions(seed=7), k_u=2)
         m, _ = _observable_probs(logits_to_theta(theta))
         for e in range(2):
@@ -198,7 +198,7 @@ class TestFitCausal:
 
         ds = simulate_dataset(well_conditioned_spec(), 5000,
                               np.random.default_rng(17))
-        counts = contingency_counts(ds)
+        counts = ds
         rng = np.random.default_rng([3, 0])  # same init law as the fitter
         x0 = rng.uniform(0.0, 1.0, size=30)
         trace = [-_negative_loglik_and_grad(x0, counts, 2, 2, 2, 2, 2)[0]]
@@ -261,7 +261,7 @@ class TestCausalEstimate:
     def test_large_sample_accuracy(self):
         spec = well_conditioned_spec()
         ds = simulate_dataset(spec, 100_000, np.random.default_rng(14))
-        est = causal_estimate(ds, 0, 0, FitOptions(seed=4))
+        est = causal_estimate(ds, 0, 0, FitOptions(seed=4), k_u=2)
         assert abs(est.point - true_effect(spec, 0, 0)) < 0.03
         assert est.ci_lower is None
         assert 0.0 <= est.point <= 1.0
@@ -269,6 +269,6 @@ class TestCausalEstimate:
     def test_same_seed_same_point(self):
         ds = simulate_dataset(well_conditioned_spec(), 5000,
                               np.random.default_rng(15))
-        a = causal_estimate(ds, 0, 0, FitOptions(seed=6))
-        b = causal_estimate(ds, 0, 0, FitOptions(seed=6))
+        a = causal_estimate(ds, 0, 0, FitOptions(seed=6), k_u=2)
+        b = causal_estimate(ds, 0, 0, FitOptions(seed=6), k_u=2)
         assert a.point == b.point

@@ -59,6 +59,27 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    @pytest.mark.parametrize("case, doc, key", [
+        ("bench", {"n_models": 1}, "dims"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "n_modles": 1}, "n_modles"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"max_iter": 5}}, "max_iter"),
+        ("discretize", {"lower": 0}, "edges"),
+    ])
+    def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        if case == "bench":
+            res = run_cli("bench", "point-error", "--config", str(path))
+        else:
+            values = tmp_path / "v.txt"
+            values.write_text("1\n")
+            res = run_cli("discretize", "--values", str(values), "--partition", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("proxyshift: error:") and key in res.stderr
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError
-from proxyshift.scm import (MISSING, TARGET, Dataset, ScmSpec,
-                            contingency_counts, interventional_sample,
-                            population_views, sample_scm_spec,
-                            simulate_dataset, target_conditional, true_effect)
+from proxyshift.scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
+                            interventional_sample, population_views,
+                            sample_scm_spec, simulate_dataset,
+                            target_conditional, true_effect)
 
 from conftest import nonidentified_spec
 
@@ -84,8 +85,7 @@ class TestSimulateDataset:
     def test_cell_frequencies_match_population(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(3))
         n = 100_000
-        ds = simulate_dataset(spec, n, np.random.default_rng(17))
-        counts = contingency_counts(ds)
+        counts = simulate_dataset(spec, n, np.random.default_rng(17))
         views = population_views(spec, 0, 0)
         d = spec.dims
         for yv in range(d.k_y):
@@ -103,9 +103,20 @@ class TestSimulateDataset:
         tx, ty = ds.target_xy
         assert tx.size == ds.n_tgt == ty.size
         assert np.all((tx >= 0) & (tx < 2))
+        hidden = ds.n_yxw_target
+        assert hidden.shape == (2, 2, 2)
+        assert hidden.sum() == ds.n_tgt
+        assert np.array_equal(hidden.sum(axis=(0, 1)), ds.n_w_target)
+        pairs = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(pairs, (ty, tx), 1)
+        assert np.array_equal(hidden.sum(axis=2), pairs)
         plain = simulate_dataset(spec, 500, np.random.default_rng(6))
         assert plain.target_xy is None
+        assert plain.n_yxw_target is None
         assert np.array_equal(plain.w, ds.w)
+        for fn in (no_adjustment, w_adjustment):
+            with pytest.raises(ValidationError):
+                fn(plain, 0, 0, scope="target")
 
 
 class TestDatasetInvariants:
@@ -130,10 +141,23 @@ class TestDatasetInvariants:
     def test_counts_invariants(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(8))
         ds = simulate_dataset(spec, 2000, np.random.default_rng(8))
-        counts = contingency_counts(ds)
-        assert counts.n_yxwe.sum() == counts.n_src == ds.n_src
-        assert counts.n_w_target.sum() == counts.n_tgt == ds.n_tgt
-        assert counts.n == ds.n
+        counts = ContingencyCounts(ds.n_yxwe, ds.n_w_target)
+        assert counts.n_yxwe.sum() == counts.n_src == np.count_nonzero(ds.domain != TARGET)
+        assert counts.n_w_target.sum() == counts.n_tgt == np.count_nonzero(ds.domain == TARGET)
+        assert counts.n == ds.n == ds.domain.size
+
+    def test_counts_reject_inconsistent_tensors(self):
+        t = np.ones((2, 2, 3, 2), dtype=np.int64)
+        with pytest.raises(ValidationError):
+            ContingencyCounts(t, np.ones(2))
+        hidden = np.ones((2, 2, 3), dtype=np.int64)
+        assert ContingencyCounts(t, np.full(3, 4), hidden).n_tgt == 12
+        with pytest.raises(ValidationError):
+            ContingencyCounts(t, np.full(3, 5), hidden)
+        with pytest.raises(ValidationError):
+            Dataset(CategorySpec(1, 1, 2, 2, 2), np.array([TARGET]), np.array([0]),
+                    np.array([MISSING]), np.array([MISSING]),
+                    target_xy=(np.array([2]), np.array([0])))
 
 
 class TestTrueEffect:
