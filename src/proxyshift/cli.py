@@ -170,9 +170,9 @@ def _check_xy(dims: CategorySpec, x: int, y: int | None = None) -> None:
 
 def _cmd_estimate(args) -> int:
     dims = load_dims(args.dims)
-    ds = load_dataset(args.data, dims)
     x, y = args.x - 1, args.y - 1
     _check_xy(dims, x, y)
+    ds = load_dataset(args.data, dims)
     out: dict = {"method": args.method, "x": args.x, "y": args.y}
     if args.method == "reduced":
         est = reduced_estimate(ds, x, y, alpha=args.alpha)

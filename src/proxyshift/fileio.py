@@ -6,6 +6,11 @@ rows use the literal ``T`` as the domain of target records, whose ``x`` and
 flags) rather than being inferred from data, so categories that happen to be
 unobserved remain representable.  Every write is atomic
 (write-temp-then-rename) and numbers round-trip at full precision.
+
+Records exist only in the simulator: :func:`save_dataset` writes a simulated
+:class:`~proxyshift.scm.Dataset`, and :func:`load_dataset` reads a file
+straight into its :class:`~proxyshift.scm.ContingencyCounts`, the only input
+the estimators take.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .categorical import CategorySpec
 from .errors import DatasetFormatError
-from .scm import MISSING, TARGET, Dataset, ScmSpec
+from .scm import ContingencyCounts, Dataset, ScmSpec, record_key
 
 DATASET_HEADER = "domain,w,x,y"
 
@@ -75,74 +81,87 @@ def load_dims(path) -> CategorySpec:
 def save_dataset(ds: Dataset, path) -> None:
     """Write records as CSV; target rows carry empty x/y fields.
 
-    Benchmark-only hidden target columns are not part of the schema and are
-    not written.
+    Every record is one of the few lines that its cell determines, so the
+    lines are formatted once per cell of :func:`scm.record_key`'s table and
+    looked up per record.  Benchmark-only hidden target columns are not part
+    of the schema and are not written.
     """
-    lines = [DATASET_HEADER]
-    for dom, w, x, y in zip(ds.domain, ds.w, ds.x, ds.y):
-        if dom == TARGET:
-            lines.append(f"T,{w + 1},,")
-        else:
-            lines.append(f"{dom + 1},{w + 1},{x + 1},{y + 1}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    d = ds.dims
+    # The key's shifted indices are the 1-based file codes, with 0 for T or empty;
+    # the cells that no valid record reaches are never looked up.
+    table = np.array([f"{e},{w + 1},{x},{y}\n" if e else f"T,{w + 1},,\n"
+                      for y in range(d.k_y + 1) for x in range(d.k_x + 1)
+                      for w in range(d.k_w) for e in range(d.k_e + 1)], dtype=object)
+    records = table[record_key(d, ds.domain, ds.w, ds.x, ds.y)].tolist()
+    atomic_write_text(path, DATASET_HEADER + "\n" + "".join(records))
 
 
-def load_dataset(path, dims: CategorySpec) -> Dataset:
-    """Parse a dataset CSV against declared dimensions.
+def _parse_line(line: str, dims: CategorySpec) -> tuple[int, int, int | None, int | None]:
+    """One non-blank data line as 0-based ``(domain, w, x, y)``, with ``None``
+    for the domain, x and y of a target row."""
+    cells = line.split(",")
+    if len(cells) != 4:
+        raise DatasetFormatError(f"expected 4 fields, got {len(cells)}")
+    dom_s, w_s, x_s, y_s = (c.strip() for c in cells)
+    try:
+        wi = int(w_s) - 1
+    except ValueError:
+        raise DatasetFormatError(f"bad w index {w_s!r}") from None
+    if not 0 <= wi < dims.k_w:
+        raise DatasetFormatError(f"w index {w_s} out of range 1..{dims.k_w}")
+    if dom_s == "T":
+        if x_s or y_s:
+            raise DatasetFormatError("target row carries x/y values")
+        return None, wi, None, None
+    try:
+        dom = int(dom_s) - 1
+    except ValueError:
+        raise DatasetFormatError(f"bad domain {dom_s!r}") from None
+    if not 0 <= dom < dims.k_e:
+        raise DatasetFormatError(f"domain {dom_s} out of range 1..{dims.k_e} (or 'T')")
+    if not x_s or not y_s:
+        raise DatasetFormatError("source row missing x or y")
+    try:
+        xi, yi = int(x_s) - 1, int(y_s) - 1
+    except ValueError:
+        raise DatasetFormatError("bad x/y index") from None
+    if not 0 <= xi < dims.k_x:
+        raise DatasetFormatError(f"x index {x_s} out of range 1..{dims.k_x}")
+    if not 0 <= yi < dims.k_y:
+        raise DatasetFormatError(f"y index {y_s} out of range 1..{dims.k_y}")
+    return dom, wi, xi, yi
 
-    Errors name the offending 1-based line: malformed rows, target rows
-    carrying x/y, source rows missing them, and out-of-range indices.
+
+def load_dataset(path, dims: CategorySpec) -> ContingencyCounts:
+    """Parse a dataset CSV against declared dimensions into its counts.
+
+    A categorical file repeats a few distinct lines, so each distinct line is
+    parsed once and its count added to its cell.  Errors name the first
+    offending 1-based line: malformed rows, target rows carrying x/y, source
+    rows missing them, and out-of-range indices.
     """
-    domain, w, x, y = [], [], [], []
     with open(path) as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != DATASET_HEADER:
         raise DatasetFormatError(
             f"line 1: expected header {DATASET_HEADER!r}, got {lines[0].strip()!r}"
             if lines else "empty dataset file")
-    for lineno, line in enumerate(lines[1:], start=2):
+    n_yxwe = np.zeros((dims.k_y, dims.k_x, dims.k_w, dims.k_e), dtype=np.int64)
+    n_w_target = np.zeros(dims.k_w, dtype=np.int64)
+    # A Counter keeps its keys in order of first appearance, so the first bad
+    # distinct line is the first bad line of the file.
+    for line, count in Counter(lines[1:]).items():
         if not line.strip():
             continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise DatasetFormatError(f"line {lineno}: expected 4 fields, got {len(cells)}")
-        dom_s, w_s, x_s, y_s = (c.strip() for c in cells)
         try:
-            wi = int(w_s) - 1
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: bad w index {w_s!r}") from None
-        if not 0 <= wi < dims.k_w:
-            raise DatasetFormatError(f"line {lineno}: w index {w_s} out of range 1..{dims.k_w}")
-        if dom_s == "T":
-            if x_s or y_s:
-                raise DatasetFormatError(f"line {lineno}: target row carries x/y values")
-            domain.append(TARGET)
-            x.append(MISSING)
-            y.append(MISSING)
+            dom, w, x, y = _parse_line(line, dims)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"line {lines.index(line, 1) + 1}: {exc}") from None
+        if dom is None:
+            n_w_target[w] += count
         else:
-            try:
-                dom = int(dom_s) - 1
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: bad domain {dom_s!r}") from None
-            if not 0 <= dom < dims.k_e:
-                raise DatasetFormatError(
-                    f"line {lineno}: domain {dom_s} out of range 1..{dims.k_e} (or 'T')")
-            if not x_s or not y_s:
-                raise DatasetFormatError(f"line {lineno}: source row missing x or y")
-            try:
-                xi, yi = int(x_s) - 1, int(y_s) - 1
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: bad x/y index") from None
-            if not 0 <= xi < dims.k_x:
-                raise DatasetFormatError(f"line {lineno}: x index {x_s} out of range 1..{dims.k_x}")
-            if not 0 <= yi < dims.k_y:
-                raise DatasetFormatError(f"line {lineno}: y index {y_s} out of range 1..{dims.k_y}")
-            domain.append(dom)
-            x.append(xi)
-            y.append(yi)
-        w.append(wi)
-    return Dataset(dims, np.array(domain, dtype=np.int64), np.array(w, dtype=np.int64),
-                   np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
+            n_yxwe[y, x, w, dom] += count
+    return ContingencyCounts(n_yxwe, n_w_target)
 
 
 def _columns(matrix: np.ndarray) -> list[list[float]]:

@@ -8,6 +8,7 @@ are 0-based in memory (file formats are 1-based, see :mod:`proxyshift.fileio`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,18 @@ def _coerce(a, shape, name: str) -> np.ndarray:
     if arr.shape != shape:
         raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def record_key(dims: CategorySpec, domain, w, x, y) -> np.ndarray:
+    """Each record's cell in the ``(k_y+1, k_x+1, k_w, k_e+1)`` table indexed by
+    ``(y+1, x+1, w, domain+1)``.  The shift maps :data:`TARGET`/:data:`MISSING`
+    to 0, so a source record's index is its 1-based file coding and a target
+    record's is ``(0, 0, w, 0)``.  Indices must already lie in their ranges."""
+    return (((y + 1) * (dims.k_x + 1) + x + 1) * dims.k_w + w) * (dims.k_e + 1) + domain + 1
+
+
+def _in_range(arr: np.ndarray, lo: int, hi: int) -> bool:
+    return arr.size == 0 or (arr.min() >= lo and arr.max() < hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,37 +160,41 @@ class Dataset(ContingencyCounts):
         if len({arr.size for arr in arrays.values()}) > 1:
             raise ValidationError("record arrays must have equal length")
         domain, w, x, y = arrays.values()
-        src = domain != TARGET
-        if np.any((domain[src] < 0) | (domain[src] >= d.k_e)):
+        if not _in_range(domain, TARGET, d.k_e):
             raise ValidationError("source domain index out of range")
-        if np.any((w < 0) | (w >= d.k_w)):
+        if not _in_range(w, 0, d.k_w):
             raise ValidationError("w index out of range")
-        for name, k in (("x", d.k_x), ("y", d.k_y)):
-            arr = arrays[name]
-            if np.any(arr[~src] != MISSING):
+        for name, arr, k in (("x", x, d.k_x), ("y", y, d.k_y)):
+            if not _in_range(arr, MISSING, k):
+                carried = np.any((domain == TARGET) & (arr != MISSING))
+                raise ValidationError(f"target records must not carry {name}" if carried else
+                                      f"{name} missing or out of range on a source record")
+        # Each index is in range, so every record has a cell of the shifted table.  The
+        # valid ones fill its source block and its target row; counts anywhere else
+        # are target records carrying x/y or source records missing them.  The one
+        # bincount runs before the records are copied, so it adds nothing to peak memory.
+        shape = (d.k_y + 1, d.k_x + 1, d.k_w, d.k_e + 1)
+        table = np.bincount(record_key(d, domain, w, x, y), minlength=math.prod(shape))
+        table = table.reshape(shape)
+        tgt, src = table[..., 0], table[..., 1:]
+        for name, carried, missing in (("x", tgt[:, 1:], src[:, 0]), ("y", tgt[1:], src[0])):
+            if carried.any():
                 raise ValidationError(f"target records must not carry {name}")
-            if np.any((arr[src] < 0) | (arr[src] >= k)):
+            if missing.any():
                 raise ValidationError(f"{name} missing or out of range on a source record")
-        # One bincount: source cells, then target proxy cells.  It runs before the
-        # records are copied, with one key array, so it adds nothing to peak memory.
-        cells = d.k_y * d.k_x * d.k_w * d.k_e
-        key = ((y * d.k_x + x) * d.k_w + w) * d.k_e + domain
-        key[~src] = cells + w[~src]
-        counts = np.bincount(key, minlength=cells + d.k_w)
-        object.__setattr__(self, "n_yxwe", counts[:cells].reshape(d.k_y, d.k_x, d.k_w, d.k_e))
-        object.__setattr__(self, "n_w_target", counts[cells:])
-        del key
+        object.__setattr__(self, "n_yxwe", src[1:, 1:])
+        object.__setattr__(self, "n_w_target", tgt[0, 0])
         for name, arr in arrays.items():
             _freeze(self, name, arr.copy())
         if self.target_xy is not None:
             tx, ty = (np.asarray(a, dtype=np.int64) for a in self.target_xy)
-            if tx.size != w[~src].size or ty.size != tx.size:
+            if tx.size != self.n_w_target.sum() or ty.size != tx.size:
                 raise ValidationError("target_xy length must match the target record count")
             if np.any((tx < 0) | (tx >= d.k_x)) or np.any((ty < 0) | (ty >= d.k_y)):
                 raise ValidationError("target_xy index out of range")
             tx.flags.writeable = ty.flags.writeable = False
             object.__setattr__(self, "target_xy", (tx, ty))
-            hidden = np.bincount((ty * d.k_x + tx) * d.k_w + w[~src],
+            hidden = np.bincount((ty * d.k_x + tx) * d.k_w + w[domain == TARGET],
                                  minlength=d.k_y * d.k_x * d.k_w)
             object.__setattr__(self, "n_yxw_target", hidden.reshape(d.k_y, d.k_x, d.k_w))
         super().__post_init__()

@@ -59,6 +59,14 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    def test_bad_xy_is_refused_before_the_data_is_read(self, tmp_path):
+        dims = tmp_path / "dims.json"
+        dims.write_text('{"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2}')
+        res = run_cli("estimate", "--data", str(tmp_path / "nope.csv"),
+                      "--dims", str(dims), "--x", "9", "--y", "1")
+        assert res.returncode == 2
+        assert "x/y out of range" in res.stderr
+
     @pytest.mark.parametrize("case, doc, key", [
         ("bench", {"n_models": 1}, "dims"),
         ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},

@@ -122,21 +122,41 @@ class TestSimulateDataset:
 class TestDatasetInvariants:
     def test_target_rows_must_not_carry_xy(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^target records must not carry x$"):
             Dataset(dims, np.array([TARGET]), np.array([0]),
                     np.array([1]), np.array([MISSING]))
+        with pytest.raises(ValidationError, match="^target records must not carry y$"):
+            Dataset(dims, np.array([0, TARGET]), np.array([0, 1]),
+                    np.array([1, MISSING]), np.array([0, 1]))
 
     def test_source_rows_must_carry_xy(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^x missing or out of range on a source record$"):
             Dataset(dims, np.array([0]), np.array([0]),
                     np.array([MISSING]), np.array([0]))
+        with pytest.raises(ValidationError,
+                           match="^y missing or out of range on a source record$"):
+            Dataset(dims, np.array([TARGET, 0]), np.array([1, 0]),
+                    np.array([MISSING, 1]), np.array([MISSING, MISSING]))
 
     def test_out_of_range_index(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^w index out of range$"):
             Dataset(dims, np.array([0]), np.array([5]),
                     np.array([0]), np.array([0]))
+        for domain in (1, -2):
+            with pytest.raises(ValidationError, match="^source domain index out of range$"):
+                Dataset(dims, np.array([0, domain]), np.array([0, 0]),
+                        np.array([0, 0]), np.array([0, 0]))
+        for y in (2, -3):
+            with pytest.raises(ValidationError,
+                               match="^y missing or out of range on a source record$"):
+                Dataset(dims, np.array([0, 0]), np.array([0, 1]),
+                        np.array([0, 1]), np.array([1, y]))
+        with pytest.raises(ValidationError, match="^target records must not carry x$"):
+            Dataset(dims, np.array([TARGET]), np.array([0]),
+                    np.array([-7]), np.array([MISSING]))
 
     def test_counts_invariants(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(8))
