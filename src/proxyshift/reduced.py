@@ -28,8 +28,6 @@ from .scm import ContingencyCounts
 #: pseudo-inverse defined on a vanishing-probability event).
 RANK_PERTURBATION_EPS = 1e-9
 
-_FD_STEP = 1e-6
-
 
 def normal_quantile(beta: float) -> float:
     """Standard-normal quantile (inverse cdf)."""
@@ -46,7 +44,6 @@ class EstimateFlags:
     rank_perturbed: bool = False
     clipped_point: bool = False
     clipped_ci: bool = False
-    empty_cell: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class EffectEstimate:
                 "rank_perturbed": self.flags.rank_perturbed,
                 "clipped_point": self.flags.clipped_point,
                 "clipped_ci": self.flags.clipped_ci,
-                "empty_cell": self.flags.empty_cell,
             },
         }
         return out
@@ -95,8 +91,7 @@ class EffectEstimate:
 
 @dataclass(frozen=True, eq=False)
 class EtaVector:
-    """Empirical cell-probability vector for one ``(x, y)`` with its sample
-    covariance.
+    """Empirical cell-probability vector for one ``(x, y)``.
 
     Layout (length ``k_w + (k_w + 1) * k_e``):
     target proxy cells ``q(w_j, e_T)`` for ``j < k_w - 1``; the target mass
@@ -106,7 +101,6 @@ class EtaVector:
     """
 
     values: np.ndarray
-    cov: np.ndarray
     n: int
     k_w: int
     k_e: int
@@ -114,13 +108,9 @@ class EtaVector:
     def __post_init__(self):
         k_eta = self.k_w + (self.k_w + 1) * self.k_e
         v = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.cov, dtype=float)
-        if v.shape != (k_eta,) or c.shape != (k_eta, k_eta):
-            raise ValidationError(
-                f"eta vector/covariance shapes {v.shape}/{c.shape} do not match "
-                f"k_eta={k_eta}")
+        if v.shape != (k_eta,):
+            raise ValidationError(f"eta vector shape {v.shape} does not match k_eta={k_eta}")
         _freeze(self, "values", v.copy())
-        _freeze(self, "cov", c.copy())
 
     @property
     def k_eta(self) -> int:
@@ -152,11 +142,13 @@ def _split_eta(values: np.ndarray, k_w: int, k_e: int) -> _EtaParts:
 
 class _CellTable(NamedTuple):
     """Record profiles aggregated by cell: counts plus the 0/1 indicator
-    matrix mapping cells to eta components."""
+    matrix mapping cells to eta components, and their mean, the statistic
+    vector."""
 
     counts: np.ndarray      # (n_cells,)
     profiles: np.ndarray    # (n_cells, k_eta)
     n: int
+    eta: EtaVector
 
 
 def _cell_table(counts: ContingencyCounts, x: int, y: int,
@@ -182,29 +174,13 @@ def _cell_table(counts: ContingencyCounts, x: int, y: int,
     profiles[target[wt < kw1], wt[wt < kw1]] = 1.0
     profiles[target, kw1] = 1.0
     cell_counts = np.concatenate([t[yi, xi, wi, ei], counts.n_w_target[wt]])
-    return _CellTable(cell_counts, profiles, counts.n)
+    eta = EtaVector(profiles.T @ (cell_counts / counts.n), counts.n, k_w, k_e)
+    return _CellTable(cell_counts, profiles, counts.n, eta)
 
 
 def eta_from_counts(counts: ContingencyCounts, x: int, y: int) -> EtaVector:
-    """Build the statistic vector and its unbiased sample covariance from the
-    sufficient-statistic tables.
-
-    The covariance is computed in closed form from the cell counts (mean of
-    indicator outer products minus the outer product of means, scaled by
-    ``n / (n - 1)``); no per-record vectors are materialised.
-    """
-    k_w = counts.n_yxwe.shape[2]
-    k_e = counts.n_yxwe.shape[3]
-    table = _cell_table(counts, x, y, k_w, k_e)
-    n = table.n
-    weights = table.counts / n
-    mean = table.profiles.T @ weights
-    second = (table.profiles * weights[:, None]).T @ table.profiles
-    centred = second - np.outer(mean, mean)
-    factor = n / (n - 1) if n > 1 else 0.0
-    cov = factor * centred
-    cov = 0.5 * (cov + cov.T)
-    return EtaVector(mean, cov, n, k_w, k_e)
+    """Build the statistic vector from the sufficient-statistic tables."""
+    return _cell_table(counts, x, y, *counts.n_yxwe.shape[2:]).eta
 
 
 def _proxy_matrix(parts: _EtaParts) -> np.ndarray:
@@ -235,24 +211,27 @@ def _checked_matrices(values: np.ndarray, k_w: int, k_e: int):
     return parts, matrices, errors
 
 
-def _h_batch(values: np.ndarray, k_w: int, k_e: int,
-             rank_tol=RANK_REL_TOL) -> tuple[np.ndarray, dict[int, ProxyShiftError]]:
-    """The identification map on a ``(B, k_eta)`` batch of statistic vectors.
-
-    Reconstructs each row's target proxy marginal (last entry by complement),
-    proxy conditional matrix and outcome conditional (ratios), and applies the
-    pseudo-inverse adjustment through one stacked SVD.  ``rank_tol`` is a
-    scalar or one tolerance per row.  Returns the ``(B,)`` values (NaN where a
-    row fails) and, keyed by row, the :class:`EmptyCellError` or
-    :class:`SingularMatrixError` each failing row raises on its own.
-    """
+def _map_inputs(values: np.ndarray, k_w: int, k_e: int, rank_tol):
+    """``(parts, A, A^+, q, p_y, errors)`` of ``h = p_y^T A^+ q`` for a ``(B,
+    k_eta)`` batch: the target proxy marginals (last entry by complement),
+    proxy matrices, one stacked SVD's pseudo-inverses (``rank_tol`` scalar or
+    per row) and outcome conditionals, with each failing row's
+    :class:`EmptyCellError` or :class:`SingularMatrixError`."""
     parts, matrices, errors = _checked_matrices(values, k_w, k_e)
     pinv, singular = stacked_right_pseudoinverse(matrices, rank_tol)
-    errors = {**singular, **errors}
     with np.errstate(divide="ignore", invalid="ignore"):
         q_w_top = parts.q_w_t / parts.q_t[:, None]
         q_w = np.concatenate([q_w_top, 1.0 - q_w_top.sum(axis=1, keepdims=True)], axis=1)
         p_y_ex = parts.p_yxe / parts.p_xe
+    return parts, matrices, pinv, q_w, p_y_ex, {**singular, **errors}
+
+
+def _h_batch(values: np.ndarray, k_w: int, k_e: int,
+             rank_tol=RANK_REL_TOL) -> tuple[np.ndarray, dict[int, ProxyShiftError]]:
+    """The identification map on a ``(B, k_eta)`` batch: the ``(B,)`` values
+    (NaN where a row fails) and the errors of :func:`_map_inputs`."""
+    _, _, pinv, q_w, p_y_ex, errors = _map_inputs(values, k_w, k_e, rank_tol)
+    with np.errstate(invalid="ignore"):
         h = (p_y_ex[:, None, :] @ pinv @ q_w[:, :, None])[:, 0, 0]
     h[list(errors)] = np.nan
     return h, errors
@@ -278,24 +257,27 @@ def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
 
 
 def grad_h(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Central finite-difference gradient of the identification map.
+    """Exact gradient of the identification map ``h = p_y^T A^+ q``.
 
-    Uses per-coordinate steps ``max(1e-6, 1e-6 * |eta_i|)`` on the plain
-    (unperturbed) map.  All ``2 * k_eta`` difference points are evaluated as
-    one batch, each exactly as :func:`h_of_eta` would evaluate it alone; the
-    error of the first failing point (in coordinate order, the ``+`` point
-    before the ``-`` point) propagates.
+    For a full-row-rank ``A``, ``dA^+ = -A^+ dA A^+ + (I - A^+ A) dA^T
+    (A A^T)^-1`` (Golub & Pereyra, SIAM J. Numer. Anal. 1973).  With ``a =
+    A^+T p_y``, ``b = A^+ q``, ``r = p_y - A^+ A p_y`` and ``(A A^T)^-1 =
+    A^+T A^+``, this gives ``dh/dq = a``, ``dh/dp_y = b`` and ``dh/dA =
+    (A^+T b) r^T - a b^T``, chained back through the complements and ratios
+    that build ``q``, ``A`` and ``p_y``.  Raises what :func:`h_of_eta` raises.
     """
-    base = np.asarray(eta.values, dtype=float)
-    steps = np.maximum(_FD_STEP, _FD_STEP * np.abs(base))
-    coord = np.arange(base.size)
-    points = np.repeat(base[None, :], 2 * base.size, axis=0)
-    points[2 * coord, coord] += steps
-    points[2 * coord + 1, coord] -= steps
-    h, errors = _h_batch(points, eta.k_w, eta.k_e, rank_tol)
+    parts, mats, pinvs, q_ws, p_ys, errors = _map_inputs(eta.values[None], eta.k_w, eta.k_e,
+                                                         rank_tol)
     if errors:
-        raise errors[min(errors)]
-    return (h[0::2] - h[1::2]) / (2.0 * steps)
+        raise errors[0]
+    q_t, p_xe, m, pinv, q, p = parts.q_t[0], parts.p_xe[0], mats[0], pinvs[0], q_ws[0], p_ys[0]
+    a, b = pinv.T @ p, pinv @ q
+    g_m = np.outer(pinv.T @ b, p - pinv @ (m @ p)) - np.outer(a, b)
+    g_wxe = (g_m[:-1] - g_m[-1]).T / p_xe[:, None]
+    g_q = (a[:-1] - a[-1]) / q_t
+    g_yxe = b / p_xe
+    g_xe = -(g_wxe * m[:-1].T).sum(axis=1) - g_yxe * p
+    return np.concatenate([g_q, [-g_q @ q[:-1]], g_wxe.ravel(), g_yxe, g_xe])
 
 
 def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
@@ -333,6 +315,24 @@ def _rank_repair(values: np.ndarray, k_w: int, k_e: int,
     return out, perturbed, np.where(perturbed, _PERTURBED_RANK_TOL, rank_tol)
 
 
+class _Centre(NamedTuple):
+    """The full-sample estimate that both intervals are centred on."""
+
+    table: _CellTable
+    work: EtaVector      # the statistic vector after the rank test and repair
+    perturbed: bool
+    tol: float           # the pseudo-inverse tolerance at ``work``
+    point: float         # the unclipped estimate, the map at ``work``
+
+
+def _centre(counts: ContingencyCounts, x: int, y: int, rank_tol: float) -> _Centre:
+    k_w, k_e = counts.n_yxwe.shape[2:]
+    table = _cell_table(counts, x, y, k_w, k_e)
+    values, perturbed, tol = _rank_repair(table.eta.values[None], k_w, k_e, rank_tol)
+    work = EtaVector(values[0], table.n, k_w, k_e)
+    return _Centre(table, work, bool(perturbed[0]), tol[0], h_of_eta(work, tol[0]))
+
+
 def _clip01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
@@ -346,28 +346,27 @@ def reduced_estimate(counts: ContingencyCounts, x: int, y: int, alpha: float = 0
     :class:`EmptyCellError`).  The point and interval are clipped to [0, 1];
     unclipped values are retained.  When the estimated proxy conditional
     matrix is rank-deficient at ``rank_tol``, a deterministic perturbation is
-    applied and recorded in the flags.  The delta-method gradient is one
-    batched evaluation of the map (see :func:`grad_h`).
+    applied and recorded in the flags.  The delta-method variance ``g^T
+    Sigma g`` is the sample variance of the records' scores ``profile @ g``
+    (``g`` from :func:`grad_h`), summed over cells with their counts.
     """
-    eta = eta_from_counts(counts, x, y)
-    values, perturbed, eval_tol = _rank_repair(eta.values[None], eta.k_w, eta.k_e, rank_tol)
-    work = EtaVector(values[0], eta.cov, eta.n, eta.k_w, eta.k_e)
-    point_u = h_of_eta(work, eval_tol[0])
-    kappa_hat = eta.kappa_hat
-    grad = grad_h(work, eval_tol[0])
-    sigma2 = float(grad @ work.cov @ grad)
-    sigma_hat = math.sqrt(max(sigma2, 0.0))
-    half = sigma_hat / math.sqrt(eta.n) * normal_quantile(1.0 - alpha / 2.0)
+    centre = _centre(counts, x, y, rank_tol)
+    point_u, n = centre.point, centre.table.n
+    kappa_hat = centre.table.eta.kappa_hat
+    scores = centre.table.profiles @ grad_h(centre.work, centre.tol)
+    weights = centre.table.counts / n
+    sigma_hat = math.sqrt(n / (n - 1) * float(weights @ (scores - weights @ scores) ** 2))
+    half = sigma_hat / math.sqrt(n) * normal_quantile(1.0 - alpha / 2.0)
     lo_u, hi_u = point_u - half, point_u + half
     point = _clip01(point_u)
     lo, hi = _clip01(lo_u), _clip01(hi_u)
     flags = EstimateFlags(
-        rank_perturbed=bool(perturbed[0]),
+        rank_perturbed=centre.perturbed,
         clipped_point=point != point_u,
         clipped_ci=(lo != lo_u) or (hi != hi_u),
     )
     return EffectEstimate(
-        point=point, point_unclipped=point_u, n=eta.n, alpha=alpha,
+        point=point, point_unclipped=point_u, n=n, alpha=alpha,
         sigma_hat=sigma_hat, ci_lower=lo, ci_upper=hi,
         ci_lower_unclipped=lo_u, ci_upper_unclipped=hi_u,
         kappa_hat=kappa_hat, flags=flags)
@@ -407,14 +406,9 @@ def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
     """
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
-    k_w, k_e = counts.n_yxwe.shape[2], counts.n_yxwe.shape[3]
-    table = _cell_table(counts, x, y, k_w, k_e)
+    centre = _centre(counts, x, y, rank_tol)
+    table, k_w, k_e = centre.table, centre.work.k_w, centre.work.k_e
     probs = table.counts / table.n
-
-    centre_values, _, centre_tol = _rank_repair((table.profiles.T @ probs)[None],
-                                                k_w, k_e, rank_tol)
-    centre = _h_raw(centre_values[0], k_w, k_e, centre_tol[0])
-
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     base = int(rng.integers(2 ** 62))
@@ -428,5 +422,5 @@ def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
             f"{failures}/{n_boot} bootstrap resamples failed to produce an estimate")
     sigma_boot = float(np.std(np.delete(estimates, list(errors)), ddof=1))
     half = sigma_boot * normal_quantile(1.0 - alpha / 2.0)
-    return BootstrapCI(_clip01(centre - half), _clip01(centre + half), sigma_boot,
+    return BootstrapCI(_clip01(centre.point - half), _clip01(centre.point + half), sigma_boot,
                        failures, int(perturbed.sum()))

@@ -119,8 +119,7 @@ class TestEstimate:
         for key in ("point", "ci_lower", "ci_upper", "kappa_hat", "flags",
                     "sigma_hat", "n", "alpha"):
             assert key in doc
-        assert set(doc["flags"]) == {"rank_perturbed", "clipped_point",
-                                     "clipped_ci", "empty_cell"}
+        assert set(doc["flags"]) == {"rank_perturbed", "clipped_point", "clipped_ci"}
 
     def test_golden_output_pinned(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")
