@@ -156,8 +156,9 @@ def _kappa_hat_from_data(ds, x: int, y: int) -> float | None:
 
 def _run_one_estimator(name: str, ds, spec: ScmSpec, config: ExperimentConfig,
                        candidate: int, dataset_idx: int):
-    """Returns (estimate, (ci_lower, ci_upper), wall_time).  Timing wraps only
-    the estimator call, not data generation (the oracle's draws included)."""
+    """Returns (estimator result, wall_time): an :class:`EffectEstimate` or a
+    bare point.  Timing wraps only the estimator call, not data generation
+    (the oracle's draws included)."""
     draws = None
     if name == "oracle":
         draws = interventional_sample(
@@ -165,10 +166,7 @@ def _run_one_estimator(name: str, ds, spec: ScmSpec, config: ExperimentConfig,
             derive_rng(config.master_seed, _SALT_ORACLE, candidate, dataset_idx))
     t0 = time.perf_counter()
     result = _ESTIMATORS[name](ds, config, draws)
-    wall = time.perf_counter() - t0
-    if isinstance(result, EffectEstimate):
-        return result.point, (result.ci_lower, result.ci_upper), wall
-    return result, (None, None), wall
+    return result, time.perf_counter() - t0
 
 
 def _shared_fields(config: ExperimentConfig, spec: ScmSpec, model_idx: int,
@@ -181,14 +179,17 @@ def _shared_fields(config: ExperimentConfig, spec: ScmSpec, model_idx: int,
 
 
 def _row(shared: dict, estimator: str, kappa_hat: float | None,
-         estimate: float | None = None, ci: tuple = (None, None),
+         estimate: float | EffectEstimate | None = None, ci: tuple = (None, None),
          wall: float = 0.0, error: Exception | None = None) -> ReplicateRecord:
     """One record: a failure row carrying ``error`` when it is given, else the
-    estimate with its interval, if any, and whether that covers the truth."""
+    estimate with its interval, if any, and whether that covers the truth.
+    An :class:`EffectEstimate` carries its own interval."""
     if error is not None:
         return ReplicateRecord(**shared, estimator=estimator, estimate=None,
                                abs_error=None, kappa_hat=kappa_hat,
                                error=f"{type(error).__name__}: {error}")
+    if isinstance(estimate, EffectEstimate):
+        estimate, ci = estimate.point, (estimate.ci_lower, estimate.ci_upper)
     lo, hi = ci
     truth = shared["truth"]
     return ReplicateRecord(
@@ -206,18 +207,19 @@ def _replicate_task(args) -> list[ReplicateRecord]:
         spec, config.n_samples,
         derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx),
         benchmark_mode=config.benchmark_mode)
-    kappa_hat = _kappa_hat_from_data(ds, config.x, config.y)
-
-    records = []
+    results = {}
     for name in config.estimators:
         try:
-            value, ci, wall = _run_one_estimator(
-                name, ds, spec, config, candidate, dataset_idx)
+            results[name] = _run_one_estimator(name, ds, spec, config, candidate, dataset_idx)
         except _ESTIMATION_ERRORS as exc:
-            records.append(_row(shared, name, kappa_hat, error=exc))
-        else:
-            records.append(_row(shared, name, kappa_hat, value, ci, wall))
-    return records
+            results[name] = exc
+    # a reduced estimate has already built the statistic vector kappa_hat reads
+    reduced = results.get("reduced")
+    kappa_hat = (reduced[0].kappa_hat if isinstance(reduced, tuple)
+                 else _kappa_hat_from_data(ds, config.x, config.y))
+    return [_row(shared, name, kappa_hat, error=result) if isinstance(result, Exception)
+            else _row(shared, name, kappa_hat, result[0], wall=result[1])
+            for name, result in results.items()]
 
 
 def _run_tasks(config: ExperimentConfig, task_fn, tasks) -> list[ReplicateRecord]:
@@ -283,8 +285,7 @@ def _coverage_task(args) -> list[ReplicateRecord]:
         est = reduced_estimate(ds, x, y, alpha=config.alpha)
     except _ESTIMATION_ERRORS as exc:
         return [_row(shared, method, None, error=exc) for method in _COVERAGE_METHODS]
-    asym = _row(shared, "reduced_asym", est.kappa_hat, est.point,
-                (est.ci_lower, est.ci_upper))
+    asym = _row(shared, "reduced_asym", est.kappa_hat, est)
     try:
         boot = bootstrap_ci(ds, x, y, config.bootstrap_b, alpha=config.alpha,
                             rng=derive_rng(config.master_seed, _SALT_BOOT, *key))
@@ -344,8 +345,10 @@ def run_runtime(config: ExperimentConfig) -> dict:
             value = None
             total = 0.0
             for _ in range(cfg_n.repetitions):
-                value, _, wall = _run_one_estimator(name, ds, spec, cfg_n, 0, 0)
+                value, wall = _run_one_estimator(name, ds, spec, cfg_n, 0, 0)
                 total += wall
+            if isinstance(value, EffectEstimate):
+                value = value.point
             per_est[name] = {"total_seconds": total, "estimate": value}
         out[n] = per_est
     return out

@@ -13,13 +13,14 @@ combination of probabilities, so no clipping is ever needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .reduced import EffectEstimate, EstimateFlags
+from .reduced import EffectEstimate
 from .scm import ContingencyCounts
 
 
@@ -37,6 +38,10 @@ class FitOptions:
             raise ValidationError("max_iterations must be at least 1")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
+        if not (math.isfinite(self.gradient_tol) and self.gradient_tol > 0):
+            raise ValidationError("gradient_tol must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 class ThetaProbs(NamedTuple):
@@ -140,51 +145,83 @@ def log_likelihood(theta: ThetaParams | ThetaProbs,
     return float(src + tgt)
 
 
-def _softmax_backprop(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inner = (p * g).sum(axis=0, keepdims=True)
-    return p * (g - inner)
+def _objective(counts: ContingencyCounts, k_u: int):
+    """The negative log-likelihood and its gradient as ``f(flat) -> (nll, grad)``
+    over the flat logit vector (the layout of :meth:`ThetaParams.flatten`).
 
+    Everything that depends only on the counts and the dimensions is built
+    here, once per fit.  Each block is a ``(k_out, k_cols)`` matrix whose
+    columns are softmaxed, so a gather permutation lays every column out as
+    one contiguous group; in that order a block reads as the transpose of its
+    probability matrix.  Only non-empty cells enter the likelihood, so
+    ``0 * log 0`` is 0.  :func:`log_likelihood` gives the same value through
+    the readable path.
+    """
+    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+    n_cells = k_w * k_x * k_y
+    blocks = ((k_u, k_e), (k_u, 1), (k_w, k_u), (k_x, k_u), (k_y, k_u * k_w * k_x))
+    offsets = np.cumsum([0] + [k_out * k_cols for k_out, k_cols in blocks])
+    dim = int(offsets[-1])
+    perm = np.concatenate([off + np.arange(k_out * k_cols).reshape(k_out, k_cols).T.ravel()
+                           for off, (k_out, k_cols) in zip(offsets, blocks)])
+    group_sizes = np.concatenate([np.full(k_cols, k_out) for k_out, k_cols in blocks])
+    starts = np.concatenate([[0], np.cumsum(group_sizes)[:-1]])
+    group = np.repeat(np.arange(group_sizes.size), group_sizes)
+    # source cells in (w, x, y, e) order, then the target proxy cells
+    observed = np.concatenate([counts.n_yxwe.transpose(2, 1, 0, 3).ravel(),
+                               counts.n_w_target]).astype(float)
+    cells = np.flatnonzero(observed)
+    weights = observed[cells]
+    probs = np.empty(observed.size)
+    ratios = np.zeros(observed.size)
+    m, q_w = probs[:-k_w].reshape(n_cells, k_e), probs[-k_w:]
+    r_m, r_w = ratios[:-k_w].reshape(n_cells, k_e), ratios[-k_w:]
+    names = ("u_e", "q_u", "w_u", "x_u", "y_uwx")
+    sl_a, sl_q, sl_w, sl_x, sl_y = (slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:]))
 
-def _negative_loglik_and_grad(flat: np.ndarray, counts: ContingencyCounts,
-                              k_u: int, k_e: int, k_w: int, k_x: int,
-                              k_y: int) -> tuple[float, np.ndarray]:
-    theta = ThetaParams.from_flat(flat, k_u, k_e, k_w, k_x, k_y)
-    probs = logits_to_theta(theta)
-    a, qu, wm, xm, ym = probs
-    t = np.einsum("yuwx,wu,xu->yxwu", ym, wm, xm)
-    m = np.einsum("yxwu,ue->yxwe", t, a)
-    q_w = wm @ qu
+    def f(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        if flat.shape != (dim,):
+            raise ValidationError(f"flat parameter vector has size {flat.size}, "
+                                  f"expected {dim}")
+        if not np.isfinite(flat).all():
+            first = np.flatnonzero(~np.isfinite(flat))[0]
+            block = names[np.searchsorted(offsets, first, side="right") - 1]
+            raise ValidationError(f"non-finite logits in block {block}")
+        z = flat[perm]
+        z -= np.maximum.reduceat(z, starts)[group]
+        p = np.exp(z)
+        p /= np.add.reduceat(p, starts)[group]
+        a_t, q_u = p[sl_a].reshape(k_e, k_u), p[sl_q]
+        w_t, x_t = p[sl_w].reshape(k_u, k_w), p[sl_x].reshape(k_u, k_x)
+        y_t = p[sl_y].reshape(k_u, k_w, k_x, k_y)
+        # t[u, (w, x, y)] = p(y | u, w, x) p(w | u) p(x | u); m = tᵀ p(u | e)
+        wx = w_t[:, :, None, None] * x_t[:, None, :, None]
+        t = (y_t * wx).reshape(k_u, n_cells)
+        np.matmul(t.T, a_t.T, out=m)
+        np.matmul(w_t.T, q_u, out=q_w)
+        seen = probs[cells]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = float(weights @ np.log(seen))
+            ratios[cells] = weights / seen
+        g_a = r_m.T @ t.T                                   # (k_e, k_u)
+        g_t = (a_t.T @ r_m.T).reshape(k_u, k_w, k_x, k_y)
+        g_wx = (g_t * y_t).sum(axis=3)                      # (k_u, k_w, k_x)
+        g_w = (g_wx * x_t[:, None, :]).sum(axis=2) + q_u[:, None] * r_w
+        g_x = (g_wx * w_t[:, :, None]).sum(axis=1)
+        g = np.concatenate([g_a.ravel(), w_t @ r_w, g_w.ravel(), g_x.ravel(),
+                            (g_t * wx).ravel()])
+        # softmax backprop per column, negated for the minimiser
+        g = p * (np.add.reduceat(p * g, starts)[group] - g)
+        grad = np.empty(dim)
+        grad[perm] = g
+        return -ll, grad
 
-    n = counts.n_yxwe.astype(float)
-    nw = counts.n_w_target.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = float(np.where(n > 0, n * np.log(np.where(n > 0, m, 1.0)), 0.0).sum()
-                   + np.where(nw > 0, nw * np.log(np.where(nw > 0, q_w, 1.0)), 0.0).sum())
-        r = np.where(n > 0, n / m, 0.0)
-        rw = np.where(nw > 0, nw / q_w, 0.0)
-
-    g_a = np.einsum("yxwe,yxwu->ue", r, t)
-    g_t = np.einsum("yxwe,ue->yxwu", r, a)
-    g_ym = np.einsum("yxwu,wu,xu->yuwx", g_t, wm, xm)
-    g_wm = np.einsum("yxwu,yuwx,xu->wu", g_t, ym, xm) + rw[:, None] * qu[None, :]
-    g_xm = np.einsum("yxwu,yuwx,wu->xu", g_t, ym, wm)
-    g_qu = wm.T @ rw
-
-    grad = ThetaParams(
-        _softmax_backprop(a, g_a),
-        _softmax_backprop(qu[:, None], g_qu[:, None])[:, 0],
-        _softmax_backprop(wm, g_wm),
-        _softmax_backprop(xm, g_xm),
-        _softmax_backprop(ym, g_ym),
-    ).flatten()
-    return -ll, -grad
+    return f
 
 
 def likelihood_gradient(theta: ThetaParams, counts: ContingencyCounts) -> np.ndarray:
     """Analytic gradient of the log-likelihood with respect to the logits."""
-    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
-    _, neg = _negative_loglik_and_grad(theta.flatten(), counts, theta.k_u,
-                                       k_e, k_w, k_x, k_y)
+    _, neg = _objective(counts, theta.k_u)(theta.flatten())
     return -neg
 
 
@@ -217,17 +254,16 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
     opts = opts or FitOptions()
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     dim = k_u * k_e + k_u + k_w * k_u + k_x * k_u + k_y * k_u * k_w * k_x
+    objective = _objective(counts, k_u)
 
     best: tuple[float, np.ndarray, int, object] | None = None
     improved = False
     for restart in range(opts.restarts):
         rng = np.random.default_rng([opts.seed, restart])
         x0 = rng.uniform(0.0, 1.0, size=dim)
-        f0, _ = _negative_loglik_and_grad(x0, counts, k_u, k_e, k_w, k_x, k_y)
+        f0, _ = objective(x0)
         res = minimize(
-            _negative_loglik_and_grad, x0,
-            args=(counts, k_u, k_e, k_w, k_x, k_y),
-            method="L-BFGS-B", jac=True,
+            objective, x0, method="L-BFGS-B", jac=True,
             options={"maxiter": opts.max_iterations, "maxfun": 10 * opts.max_iterations,
                      "gtol": opts.gradient_tol, "ftol": 1e-15})
         x_hat, f_hat = res.x, float(res.fun)
@@ -264,9 +300,9 @@ def causal_estimate(counts: ContingencyCounts, x: int, y: int,
     ``k_u`` is not derivable from the counts; a value other than the true
     cardinality fits a deliberately misspecified mechanism.  The point is
     already a probability, so no clipping is applied and no confidence
-    interval is produced.
+    interval is produced.  The fit's diagnostics ride along in ``fit``, so a
+    fit that did not converge is visible in the estimate.
     """
-    theta, _ = fit_causal(counts, opts, k_u=k_u)
+    theta, diag = fit_causal(counts, opts, k_u=k_u)
     point = g_of_theta(theta, x, y)
-    return EffectEstimate(point=point, point_unclipped=point, n=counts.n,
-                          flags=EstimateFlags())
+    return EffectEstimate(point=point, point_unclipped=point, n=counts.n, fit=diag)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .categorical import (RANK_REL_TOL, _freeze, condition_number,
                           stacked_right_pseudoinverse, stacked_row_rank)
 from .errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
 from .scm import ContingencyCounts
+
+if TYPE_CHECKING:
+    from .causal import FitDiagnostics
 
 #: Additive perturbation applied to the proxy-cell components when the
 #: estimated proxy conditional matrix is rank-deficient (keeps the
@@ -54,6 +57,7 @@ class EffectEstimate:
     confidence interval was computed, both clipped and unclipped interval
     bounds are retained.  ``kappa_hat`` is the condition number of the
     estimated proxy conditional matrix (before any rank perturbation).
+    ``fit`` is the mechanism fit behind a ``causal`` estimate.
     """
 
     point: float
@@ -67,6 +71,7 @@ class EffectEstimate:
     ci_upper_unclipped: float | None = None
     kappa_hat: float | None = None
     flags: EstimateFlags = EstimateFlags()
+    fit: FitDiagnostics | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -86,6 +91,10 @@ class EffectEstimate:
                 "clipped_ci": self.flags.clipped_ci,
             },
         }
+        if self.fit is not None:
+            out["fit"] = {"converged": self.fit.converged,
+                          "iterations": self.fit.iterations,
+                          "log_likelihood": self.fit.log_likelihood}
         return out
 
 
@@ -101,7 +110,6 @@ class EtaVector:
     """
 
     values: np.ndarray
-    n: int
     k_w: int
     k_e: int
 
@@ -174,7 +182,7 @@ def _cell_table(counts: ContingencyCounts, x: int, y: int,
     profiles[target[wt < kw1], wt[wt < kw1]] = 1.0
     profiles[target, kw1] = 1.0
     cell_counts = np.concatenate([t[yi, xi, wi, ei], counts.n_w_target[wt]])
-    eta = EtaVector(profiles.T @ (cell_counts / counts.n), counts.n, k_w, k_e)
+    eta = EtaVector(profiles.T @ (cell_counts / counts.n), k_w, k_e)
     return _CellTable(cell_counts, profiles, counts.n, eta)
 
 
@@ -329,7 +337,7 @@ def _centre(counts: ContingencyCounts, x: int, y: int, rank_tol: float) -> _Cent
     k_w, k_e = counts.n_yxwe.shape[2:]
     table = _cell_table(counts, x, y, k_w, k_e)
     values, perturbed, tol = _rank_repair(table.eta.values[None], k_w, k_e, rank_tol)
-    work = EtaVector(values[0], table.n, k_w, k_e)
+    work = EtaVector(values[0], k_w, k_e)
     return _Centre(table, work, bool(perturbed[0]), tol[0], h_of_eta(work, tol[0]))
 
 

@@ -234,12 +234,15 @@ def sample_scm_spec(dims: CategorySpec, rng: np.random.Generator) -> ScmSpec:
 def _draw_categorical(rng: np.random.Generator, prob_cols: np.ndarray,
                       col_index: np.ndarray) -> np.ndarray:
     """Vectorised inverse-cdf draw: record ``i`` samples from column
-    ``col_index[i]`` of ``prob_cols``."""
-    cdf = np.cumsum(prob_cols, axis=0)
-    cdf[-1, :] = 1.0
-    rows = cdf.T[col_index]
+    ``col_index[i]`` of ``prob_cols``.  The draw is the number of cdf rows
+    below one uniform ``r`` in [0, 1), counted one row at a time.  The last
+    row, the total mass, counts as exactly 1, so it is never compared."""
+    cdf = np.cumsum(prob_cols[:-1], axis=0)
     r = rng.random(col_index.size)
-    return np.sum(rows < r[:, None], axis=1).astype(np.int64)
+    out = np.zeros(col_index.size, dtype=np.int64)
+    for row in cdf:
+        out += row[col_index] < r
+    return out
 
 
 def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,

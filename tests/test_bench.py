@@ -90,6 +90,37 @@ class TestBaselineComparison:
             accepted_model_candidates(config)
 
 
+class TestKappaHat:
+    """Each replicate row carries the estimated condition number, built once."""
+
+    def test_taken_from_the_reduced_estimate(self, monkeypatch):
+        expected = run_baseline_comparison(small_config(n_models=1, n_datasets=2))
+
+        def counted(*args, **kwargs):
+            raise AssertionError("eta_from_counts called although reduced succeeded")
+
+        monkeypatch.setattr(bench, "eta_from_counts", counted)
+        records = run_baseline_comparison(small_config(n_models=1, n_datasets=2))
+        assert [r.kappa_hat for r in records] == [r.kappa_hat for r in expected]
+        assert all(r.kappa_hat is not None for r in records)
+
+    def test_built_from_the_counts_without_a_reduced_row(self):
+        reduced = run_point_error(small_config(estimators=("reduced",)))
+        noadj = run_point_error(small_config(estimators=("noadj",)))
+        assert [r.kappa_hat for r in noadj] == [r.kappa_hat for r in reduced]
+
+    def test_built_from_the_counts_when_reduced_fails(self, monkeypatch):
+        expected = run_point_error(small_config(estimators=("reduced", "noadj")))
+
+        def failing(*args, **kwargs):
+            raise EmptyCellError("no target-domain records", cell="target")
+
+        monkeypatch.setattr(bench, "reduced_estimate", failing)
+        records = run_point_error(small_config(estimators=("reduced", "noadj")))
+        assert [r.kappa_hat for r in records] == [r.kappa_hat for r in expected]
+        assert all(r.error for r in records if r.estimator == "reduced")
+
+
 class TestCoverage:
     def test_summary_structure(self):
         config = small_config(n_models=2, n_datasets=3, n_samples=2000,

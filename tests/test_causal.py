@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyshift.categorical import CategorySpec
-from proxyshift.causal import (FitOptions, ThetaParams, _observable_probs,
-                               causal_estimate, fit_causal, g_of_theta,
-                               likelihood_gradient, log_likelihood,
+from proxyshift.causal import (FitOptions, ThetaParams, _objective,
+                               _observable_probs, causal_estimate, fit_causal,
+                               g_of_theta, likelihood_gradient, log_likelihood,
                                logits_to_theta)
 from proxyshift.errors import ValidationError
 from proxyshift.identify import causal_decomposition_effect
@@ -35,6 +37,55 @@ def random_theta(rng, k_u, k_e, k_w, k_x, k_y) -> ThetaParams:
     return ThetaParams(rng.normal(size=(k_u, k_e)), rng.normal(size=k_u),
                        rng.normal(size=(k_w, k_u)), rng.normal(size=(k_x, k_u)),
                        rng.normal(size=(k_y, k_u, k_w, k_x)))
+
+
+def _softmax_backprop(p, g):
+    inner = (p * g).sum(axis=0, keepdims=True)
+    return p * (g - inner)
+
+
+def reference_objective(flat, counts, k_u, k_e, k_w, k_x, k_y):
+    """The negative log-likelihood and its gradient on the structured blocks,
+    one einsum per contraction: the reference for ``_objective``."""
+    theta = ThetaParams.from_flat(flat, k_u, k_e, k_w, k_x, k_y)
+    probs = logits_to_theta(theta)
+    a, qu, wm, xm, ym = probs
+    t = np.einsum("yuwx,wu,xu->yxwu", ym, wm, xm)
+    m = np.einsum("yxwu,ue->yxwe", t, a)
+    q_w = wm @ qu
+
+    n = counts.n_yxwe.astype(float)
+    nw = counts.n_w_target.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = float(np.where(n > 0, n * np.log(np.where(n > 0, m, 1.0)), 0.0).sum()
+                   + np.where(nw > 0, nw * np.log(np.where(nw > 0, q_w, 1.0)), 0.0).sum())
+        r = np.where(n > 0, n / m, 0.0)
+        rw = np.where(nw > 0, nw / q_w, 0.0)
+
+    g_a = np.einsum("yxwe,yxwu->ue", r, t)
+    g_t = np.einsum("yxwe,ue->yxwu", r, a)
+    g_ym = np.einsum("yxwu,wu,xu->yuwx", g_t, wm, xm)
+    g_wm = np.einsum("yxwu,yuwx,xu->wu", g_t, ym, xm) + rw[:, None] * qu[None, :]
+    g_xm = np.einsum("yxwu,yuwx,wu->xu", g_t, ym, wm)
+    g_qu = wm.T @ rw
+
+    grad = ThetaParams(
+        _softmax_backprop(a, g_a),
+        _softmax_backprop(qu[:, None], g_qu[:, None])[:, 0],
+        _softmax_backprop(wm, g_wm),
+        _softmax_backprop(xm, g_xm),
+        _softmax_backprop(ym, g_ym),
+    ).flatten()
+    return -ll, -grad
+
+
+def assert_matches_reference(counts, theta: ThetaParams, tol=1e-12):
+    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+    flat = theta.flatten()
+    f_ref, g_ref = reference_objective(flat, counts, theta.k_u, k_e, k_w, k_x, k_y)
+    f_new, g_new = _objective(counts, theta.k_u)(flat)
+    assert abs(f_new - f_ref) <= tol * max(1.0, abs(f_ref))
+    assert np.max(np.abs(g_new - g_ref)) <= tol * max(1.0, np.max(np.abs(g_ref)))
 
 
 class TestLogitsToTheta:
@@ -131,6 +182,80 @@ class TestLikelihoodGradient:
             assert np.linalg.norm(analytic - fd) / denom < 1e-5
 
 
+class TestObjective:
+    """The flat objective that the fit minimises, against the einsum reference."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (3, 3, 3, 2, 2), (4, 3, 3, 3, 3),
+                                      (30, 10, 10, 2, 2), (1, 1, 1, 1, 1), (2, 1, 4, 3, 2),
+                                      (1, 2, 2, 1, 3)])
+    def test_matches_reference(self, dims):
+        k_e, _, k_w, k_x, k_y = dims
+        rng = np.random.default_rng(sum(dims))
+        spec = sample_scm_spec(CategorySpec(*dims), rng)
+        for n in (50, 3000):
+            counts = simulate_dataset(spec, n, rng)
+            for k_u in (1, 2, 3):
+                for _ in range(3):
+                    assert_matches_reference(counts, random_theta(rng, k_u, k_e, k_w, k_x, k_y))
+
+    def test_empty_source_cells_and_empty_target(self):
+        rng = np.random.default_rng(18)
+        tensor = rng.integers(0, 40, size=(2, 3, 2, 3))
+        tensor[0, 1] = 0
+        tensor[..., 2] = 0
+        with_target = ContingencyCounts(tensor, np.array([0, 17]))
+        no_target = ContingencyCounts(tensor, np.zeros(2, dtype=int))
+        for counts in (with_target, no_target):
+            for k_u in (1, 2, 3):
+                assert_matches_reference(counts, random_theta(rng, k_u, 3, 2, 3, 2))
+
+    def test_value_is_the_log_likelihood(self):
+        rng = np.random.default_rng(19)
+        counts = random_counts(rng, CategorySpec(3, 2, 3, 2, 2))
+        theta = random_theta(rng, 2, 3, 3, 2, 2)
+        f, _ = _objective(counts, 2)(theta.flatten())
+        assert -f == pytest.approx(log_likelihood(theta, counts), rel=1e-12)
+
+    def test_returns_fresh_gradients(self):
+        rng = np.random.default_rng(20)
+        counts = random_counts(rng, CategorySpec(2, 2, 2, 2, 2))
+        objective = _objective(counts, 2)
+        x1, x2 = rng.normal(size=30), rng.normal(size=30)
+        _, g1 = objective(x1)
+        kept = g1.copy()
+        objective(x2)
+        assert np.array_equal(g1, kept)
+
+    def test_rejects_non_finite_logits(self):
+        counts = random_counts(np.random.default_rng(21), CategorySpec(2, 2, 2, 2, 2))
+        flat = np.zeros(30)
+        flat[5] = np.nan  # the q_u block starts at k_u * k_e = 4
+        with pytest.raises(ValidationError, match="q_u"):
+            _objective(counts, 2)(flat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_confounder_relabelling_property(self, k_e, k_u, k_w, k_x, k_y, seed):
+        # relabelling U in all five blocks leaves the likelihood unchanged and
+        # permutes the gradient along with the logits
+        rng = np.random.default_rng(seed)
+        counts = random_counts(rng, CategorySpec(k_e, k_u, k_w, k_x, k_y))
+        theta = random_theta(rng, k_u, k_e, k_w, k_x, k_y)
+        perm = rng.permutation(k_u)
+
+        def relabel(t):
+            return ThetaParams(t.u_e[perm], t.q_u[perm], t.w_u[:, perm],
+                               t.x_u[:, perm], t.y_uwx[:, perm])
+
+        objective = _objective(counts, k_u)
+        f, g = objective(theta.flatten())
+        f_p, g_p = objective(relabel(theta).flatten())
+        g_moved = relabel(ThetaParams.from_flat(g, k_u, k_e, k_w, k_x, k_y)).flatten()
+        assert abs(f_p - f) <= 1e-12 * max(1.0, abs(f))
+        assert np.max(np.abs(g_p - g_moved)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+
 class TestFitCausal:
     def test_deterministic_given_seed(self):
         ds = simulate_dataset(well_conditioned_spec(), 3000,
@@ -194,18 +319,15 @@ class TestFitCausal:
 
     def test_accepted_steps_never_decrease_likelihood(self):
         from scipy.optimize import minimize
-        from proxyshift.causal import _negative_loglik_and_grad
 
         ds = simulate_dataset(well_conditioned_spec(), 5000,
                               np.random.default_rng(17))
-        counts = ds
+        objective = _objective(ds, 2)
         rng = np.random.default_rng([3, 0])  # same init law as the fitter
         x0 = rng.uniform(0.0, 1.0, size=30)
-        trace = [-_negative_loglik_and_grad(x0, counts, 2, 2, 2, 2, 2)[0]]
-        minimize(_negative_loglik_and_grad, x0, args=(counts, 2, 2, 2, 2, 2),
-                 method="L-BFGS-B", jac=True,
-                 callback=lambda xk: trace.append(
-                     -_negative_loglik_and_grad(xk, counts, 2, 2, 2, 2, 2)[0]))
+        trace = [-objective(x0)[0]]
+        minimize(objective, x0, method="L-BFGS-B", jac=True,
+                 callback=lambda xk: trace.append(-objective(xk)[0]))
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * (1 + np.abs(trace[:-1])))
 
@@ -257,6 +379,17 @@ class TestGOfTheta:
             g_of_theta(theta, 0, 0), abs=1e-12)
 
 
+class TestFitOptions:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_gradient_tol(self, tol):
+        with pytest.raises(ValidationError, match="gradient_tol"):
+            FitOptions(gradient_tol=tol)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            FitOptions(seed=-1)
+
+
 class TestCausalEstimate:
     def test_large_sample_accuracy(self):
         spec = well_conditioned_spec()
@@ -265,6 +398,22 @@ class TestCausalEstimate:
         assert abs(est.point - true_effect(spec, 0, 0)) < 0.03
         assert est.ci_lower is None
         assert 0.0 <= est.point <= 1.0
+
+    def test_carries_the_fit_diagnostics(self):
+        ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(22))
+        est = causal_estimate(ds, 0, 0, FitOptions(seed=1), k_u=2)
+        assert est.fit.converged
+        assert est.fit.iterations > 1
+        assert est.fit.log_likelihood == pytest.approx(
+            log_likelihood(fit_causal(ds, FitOptions(seed=1), k_u=2)[0], ds), rel=1e-12)
+        assert est.to_dict()["fit"] == {"converged": True, "iterations": est.fit.iterations,
+                                        "log_likelihood": est.fit.log_likelihood}
+
+    def test_reports_a_fit_that_did_not_converge(self):
+        ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(22))
+        est = causal_estimate(ds, 0, 0, FitOptions(max_iterations=1), k_u=2)
+        assert est.fit.converged is False
+        assert est.to_dict()["fit"]["converged"] is False
 
     def test_same_seed_same_point(self):
         ds = simulate_dataset(well_conditioned_spec(), 5000,

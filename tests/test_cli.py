@@ -74,6 +74,8 @@ class TestExitCodes:
         ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
                    "fit_options": {"max_iter": 5}}, "max_iter"),
         ("discretize", {"lower": 0}, "edges"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"gradient_tol": -1}}, "gradient_tol"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"
@@ -154,6 +156,16 @@ class TestEstimate:
             assert res.returncode == 0, res.stderr
             doc = json.loads(res.stdout)
             assert 0.0 <= doc["point"] <= 1.0
+
+    def test_causal_fit_block(self, tmp_path):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--method", "causal")
+        assert res.returncode == 0, res.stderr
+        fit = json.loads(res.stdout)["fit"]
+        assert set(fit) == {"converged", "iterations", "log_likelihood"}
+        assert fit["converged"] is True
+        assert fit["iterations"] >= 1 and fit["log_likelihood"] < 0
 
     def test_out_file(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")

@@ -32,7 +32,7 @@ def population_eta(spec, x, y) -> EtaVector:
         values.extend(p_wxe[j, l] for j in range(k_w - 1))
     values.extend(cells[y, x, :, :].sum(axis=0) * prior[:k_e])
     values.extend(cells[:, x, :, :].sum(axis=(0, 1)) * prior[:k_e])
-    return EtaVector(np.array(values), 1_000_000, k_w, k_e)
+    return EtaVector(np.array(values), k_w, k_e)
 
 
 def four_record_dataset() -> Dataset:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import proxyshift.scm as scm
 from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError
@@ -31,6 +34,49 @@ def point_mass_spec() -> ScmSpec:
         domain_prior=np.array([0.4, 0.4, 0.2]),
         strict_support=False,
     )
+
+
+def reference_draw_categorical(rng, prob_cols, col_index):
+    """Inverse-cdf draw through the ``(n, k)`` gather of each record's cdf
+    column: the reference for ``scm._draw_categorical``."""
+    cdf = np.cumsum(prob_cols, axis=0)
+    cdf[-1, :] = 1.0
+    rows = cdf.T[col_index]
+    r = rng.random(col_index.size)
+    return np.sum(rows < r[:, None], axis=1).astype(np.int64)
+
+
+class TestDrawCategorical:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 31), st.integers(1, 6), st.integers(0, 2000),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_gather_reference_bit_for_bit(self, k, n_cols, n, zeros, seed):
+        rng = np.random.default_rng(seed)
+        prob_cols = rng.dirichlet(np.ones(k), size=n_cols).T
+        if zeros:
+            # zero-probability categories, as strict_support=False admits;
+            # every column keeps at least one category with mass
+            keep = rng.random((k, n_cols)) < 0.5
+            keep[rng.integers(0, k, size=n_cols), np.arange(n_cols)] = True
+            prob_cols = np.where(keep, prob_cols, 0.0)
+            prob_cols /= prob_cols.sum(axis=0)
+        col_index = rng.integers(0, n_cols, size=n)
+        expected = reference_draw_categorical(np.random.default_rng(seed), prob_cols, col_index)
+        drawn = scm._draw_categorical(np.random.default_rng(seed), prob_cols, col_index)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+
+    def test_simulation_with_the_reference_sampler_is_unchanged(self, monkeypatch):
+        spec = sample_scm_spec(CategorySpec(3, 3, 3, 2, 2), np.random.default_rng(23))
+        ours = simulate_dataset(spec, 5000, np.random.default_rng(24), benchmark_mode=True)
+        degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
+        monkeypatch.setattr(scm, "_draw_categorical", reference_draw_categorical)
+        ref = simulate_dataset(spec, 5000, np.random.default_rng(24), benchmark_mode=True)
+        ref_degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
+        for a, b in ((ours, ref), (degenerate, ref_degenerate)):
+            for name in ("domain", "w", "x", "y"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert all(np.array_equal(a, b) for a, b in zip(ours.target_xy, ref.target_xy))
 
 
 class TestSampleScmSpec:
