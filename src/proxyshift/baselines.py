@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError, ZeroDenominatorError
-from .reduced import normal_quantile
+from .reduced import check_alpha, normal_quantile
 from .scm import ContingencyCounts
 
 POOLED = "pooled"
@@ -82,5 +82,6 @@ def wald_interval(p_hat: float, n: int, alpha: float = 0.05) -> tuple[float, flo
     [0, 1]."""
     if n < 1:
         raise ValidationError("n must be positive")
+    check_alpha(alpha)
     half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
     return max(p_hat - half, 0.0), min(p_hat + half, 1.0)

@@ -12,7 +12,6 @@ other exception is a bug and aborts the study.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,8 @@ from .baselines import (POOLED, TARGET_SCOPE, no_adjustment, oracle_estimate,
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
 from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
-from .reduced import EffectEstimate, bootstrap_ci, eta_from_counts, reduced_estimate
+from .reduced import (EffectEstimate, bootstrap_ci, check_alpha, eta_from_counts,
+                      reduced_estimate)
 from .scm import (ScmSpec, interventional_sample, population_views,
                   sample_scm_spec, simulate_dataset, target_conditional,
                   true_effect)
@@ -89,6 +89,7 @@ class ExperimentConfig:
             raise ValidationError("n_models, n_datasets, n_samples must be >= 1")
         if self.confound_threshold < 0:
             raise ValidationError("confound_threshold must be non-negative")
+        check_alpha(self.alpha)
         unknown = set(self.estimators) - set(ALL_ESTIMATORS)
         if unknown:
             raise ValidationError(f"unknown estimators: {sorted(unknown)}")
@@ -227,6 +228,9 @@ def _run_tasks(config: ExperimentConfig, task_fn, tasks) -> list[ReplicateRecord
     processes when there is more than one, and return every task's records
     sorted by (model, dataset, estimator)."""
     if config.workers > 1:
+        # imported here so that starting the CLI does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(task_fn, tasks))
     else:

@@ -213,13 +213,45 @@ def _cmd_identify(args) -> int:
 
 
 def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
-    """Refuse a missing ``required`` key, or a key not a field of ``cls``."""
+    """Refuse a document that is not an object, a missing ``required`` key,
+    or a key not a field of ``cls``."""
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{what} must be a JSON object, got {doc!r}")
     for key in required:
         if key not in doc:
             raise DatasetFormatError(f"{what} is missing key {key!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)}) if cls else []
     if unknown:
         raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list_of(v, check) -> bool:
+    return isinstance(v, list) and all(map(check, v))
+
+
+# What a JSON value must be for each declared field type of a config class.
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "tuple[int, ...] | None": ("a list of integers or null",
+                               lambda v: v is None or _is_list_of(v, _is_int)),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: _is_list_of(v, lambda s: isinstance(s, str))),
+}
+
+
+def _check_types(doc: dict, what: str, cls) -> None:
+    """Refuse a value whose JSON type does not fit its field of ``cls``."""
+    for f in fields(cls):
+        if f.name in doc:
+            expected, check = _JSON_TYPES[f.type]
+            if not check(doc[f.name]):
+                raise DatasetFormatError(
+                    f"{what} key {f.name!r} must be {expected}, got {doc[f.name]!r}")
 
 
 def _config_from_file(path) -> ExperimentConfig:
@@ -229,7 +261,9 @@ def _config_from_file(path) -> ExperimentConfig:
     dims = dims_from_dict(doc.pop("dims"))
     fit_doc = doc.pop("fit_options", {})
     _check_keys(fit_doc, "config fit_options", cls=FitOptions)
-    if "n_sweep" in doc and doc["n_sweep"] is not None:
+    _check_types(doc, "config file", ExperimentConfig)
+    _check_types(fit_doc, "config fit_options", FitOptions)
+    if doc.get("n_sweep") is not None:
         doc["n_sweep"] = tuple(doc["n_sweep"])
     if "estimators" in doc:
         doc["estimators"] = tuple(doc["estimators"])

@@ -59,6 +59,8 @@ def dims_to_dict(dims: CategorySpec) -> dict:
 
 
 def dims_from_dict(d: dict) -> CategorySpec:
+    if not isinstance(d, dict):
+        raise DatasetFormatError(f"dims must be a JSON object, got {d!r}")
     try:
         return CategorySpec(
             k_e=int(d["k_e"]), k_u=int(d["k_u"]), k_w=int(d["k_w"]),

@@ -32,12 +32,70 @@ if TYPE_CHECKING:
 RANK_PERTURBATION_EPS = 1e-9
 
 
-def normal_quantile(beta: float) -> float:
-    """Standard-normal quantile (inverse cdf)."""
-    # imported here so that starting the CLI does not load scipy
-    from scipy.special import ndtri
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989): a rational approximation about the centre for
+# |p - 1/2| <= 1/2 - exp(-2), and in z = 1/sqrt(-2 log p) for the tails.  Coefficients run from the highest power down; the Q
+# polynomials' leading 1 (implied in Cephes p1evl) is written out, which
+# evaluates bit-identically because 1.0 * x is exact.
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tail, 2 <= sqrt(-2 log p) < 8
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# far tail, sqrt(-2 log p) >= 8
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
-    return float(ndtri(beta))
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, highest power first (Cephes ``polevl``)."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def normal_quantile(beta: float) -> float:
+    """Standard-normal quantile (inverse cdf): a port of Cephes ``ndtri``
+    that keeps every operation of the original in order, so it returns the
+    compiled routine's results bit for bit.  0 gives -inf, 1 gives +inf, and
+    NaN or a value outside [0, 1] gives NaN."""
+    if beta == 0.0:
+        return -math.inf
+    if beta == 1.0:
+        return math.inf
+    if not 0.0 < beta < 1.0:
+        return math.nan
+    upper = beta > 1.0 - _EXP_M2
+    p = 1.0 - beta if upper else beta
+    if p > _EXP_M2:
+        p -= 0.5
+        p2 = p * p
+        return (p + p * (p2 * _polevl(p2, _P0) / _polevl(p2, _Q0))) * _S2PI
+    t = math.sqrt(-2.0 * math.log(p))
+    z = 1.0 / t
+    num, den = (_P1, _Q1) if t < 8.0 else (_P2, _Q2)
+    x = (t - math.log(t) / t) - z * _polevl(z, num) / _polevl(z, den)
+    return x if upper else -x
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a confidence level ``alpha`` outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -358,6 +416,7 @@ def reduced_estimate(counts: ContingencyCounts, x: int, y: int, alpha: float = 0
     Sigma g`` is the sample variance of the records' scores ``profile @ g``
     (``g`` from :func:`grad_h`), summed over cells with their counts.
     """
+    check_alpha(alpha)
     centre = _centre(counts, x, y, rank_tol)
     point_u, n = centre.point, centre.table.n
     kappa_hat = centre.table.eta.kappa_hat
@@ -414,6 +473,7 @@ def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
     """
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
+    check_alpha(alpha)
     centre = _centre(counts, x, y, rank_tol)
     table, k_w, k_e = centre.table, centre.work.k_w, centre.work.k_e
     probs = table.counts / table.n

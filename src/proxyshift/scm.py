@@ -245,6 +245,18 @@ def _draw_categorical(rng: np.random.Generator, prob_cols: np.ndarray,
     return out
 
 
+def _uwx_column(dims: CategorySpec, u: np.ndarray, w: np.ndarray, x) -> np.ndarray:
+    """Each record's column ``(u * k_w + w) * k_x + x`` of the flattened
+    ``p(y | u, w, x)``, computed in ``u``'s buffer, which it overwrites.  At
+    10^5-10^6 records a whole-array temporary is fresh memory from the
+    allocator, and its page faults cost more than the arithmetic."""
+    u *= dims.k_w
+    u += w
+    u *= dims.k_x
+    u += x
+    return u
+
+
 def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,
                      benchmark_mode: bool = False) -> Dataset:
     """Ancestral forward sampling of ``n`` i.i.d. records.
@@ -266,14 +278,17 @@ def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,
     w = _draw_categorical(rng, spec.p_w_given_u, u)
     x = _draw_categorical(rng, spec.p_x_given_u, u)
     y_cols = spec.p_y_given_uwx.reshape(d.k_y, -1)
-    y = _draw_categorical(rng, y_cols, (u * d.k_w + w) * d.k_x + x)
+    y = _draw_categorical(rng, y_cols, _uwx_column(d, u, w, x))
+    del u
 
+    # hide the target records' domain, treatment and outcome in place, for
+    # the same reason as in _uwx_column
     is_tgt = e_raw == d.k_e
-    domain = np.where(is_tgt, TARGET, e_raw)
-    x_obs = np.where(is_tgt, MISSING, x)
-    y_obs = np.where(is_tgt, MISSING, y)
     target_xy = (x[is_tgt], y[is_tgt]) if benchmark_mode else None
-    return Dataset(d, domain, w, x_obs, y_obs, target_xy=target_xy)
+    e_raw[is_tgt] = TARGET
+    x[is_tgt] = MISSING
+    y[is_tgt] = MISSING
+    return Dataset(d, e_raw, w, x, y, target_xy=target_xy)
 
 
 def interventional_sample(spec: ScmSpec, x: int, n: int,
@@ -285,7 +300,7 @@ def interventional_sample(spec: ScmSpec, x: int, n: int,
     u = _draw_categorical(rng, spec.q_u[:, None], np.zeros(n, dtype=np.int64))
     w = _draw_categorical(rng, spec.p_w_given_u, u)
     y_cols = spec.p_y_given_uwx.reshape(d.k_y, -1)
-    return _draw_categorical(rng, y_cols, (u * d.k_w + w) * d.k_x + x)
+    return _draw_categorical(rng, y_cols, _uwx_column(d, u, w, x))
 
 
 def true_effect(spec: ScmSpec, x: int, y: int) -> float:

@@ -145,3 +145,8 @@ class TestWaldInterval:
         lo, hi = wald_interval(0.01, 50)
         assert lo == 0.0
         assert hi > 0.01
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_level_outside_unit_interval_is_refused(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            wald_interval(0.5, 100, alpha)

@@ -29,6 +29,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             small_config(estimators=("reduced", "magic"))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            small_config(alpha=alpha)
+
 
 class TestPointError:
     def test_single_replicate_record_count(self):

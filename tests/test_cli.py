@@ -42,6 +42,34 @@ def test_import_does_not_load_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_multiprocessing():
+    # the bench process pool is imported only when a study uses workers > 1
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, proxyshift.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'multiprocessing'])"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("extra", [["--method", "reduced", "--bootstrap", "20"],
+                                   ["--method", "noadj"]])
+def test_estimate_never_loads_scipy(tmp_path, extra):
+    _, data, dims = simulate_fixture(tmp_path)
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--data", str(data), "--dims", str(dims), "--x", "1", "--y", "1",
+            "--out", str(out), *extra]
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from proxyshift.cli import main; rc = main(sys.argv[1:]); "
+         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])", *argv],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"
+    assert "ci_lower" in json.loads(out.read_text())
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         res = run_cli("estimate", "--nonsense")
@@ -76,6 +104,19 @@ class TestExitCodes:
         ("discretize", {"lower": 0}, "edges"),
         ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
                    "fit_options": {"gradient_tol": -1}}, "gradient_tol"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "n_models": "1"}, "n_models"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"gradient_tol": "1e-8"}}, "gradient_tol"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "workers": True}, "workers"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "estimators": "reduced"}, "estimators"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": 5}, "fit_options"),
+        ("bench", {"dims": 5}, "dims"),
+        ("bench", [1], "config file"),
+        ("discretize", [0.5], "partition file"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"
@@ -166,6 +207,17 @@ class TestEstimate:
         assert set(fit) == {"converged", "iterations", "log_likelihood"}
         assert fit["converged"] is True
         assert fit["iterations"] >= 1 and fit["log_likelihood"] < 0
+
+    @pytest.mark.parametrize("method", ["reduced", "noadj"])
+    def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, method):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        for alpha in ("0", "1", "1.5"):
+            res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                          "--x", "1", "--y", "1", "--method", method, "--alpha", alpha)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert "Traceback" not in res.stderr
+            assert res.stderr.startswith("proxyshift: error:") and "alpha" in res.stderr
 
     def test_out_file(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")

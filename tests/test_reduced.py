@@ -259,6 +259,40 @@ class TestNormalQuantile:
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
         assert normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
 
+    def test_bit_identical_to_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(20261018)
+        grid = np.concatenate([
+            np.linspace(0.0, 1.0, 200_001),
+            rng.random(200_000),
+            10.0 ** rng.uniform(-300.0, np.log10(0.14), 50_000),    # lower tail
+            1.0 - 10.0 ** rng.uniform(-16.0, np.log10(0.14), 50_000),  # upper tail
+            1.0 - np.array([0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001]) / 2.0,
+            # the branch boundaries at exp(-2), 1 - exp(-2) and exp(-32)
+            [np.exp(-2.0), np.nextafter(np.exp(-2.0), 0.0), 1.0 - np.exp(-2.0),
+             np.nextafter(1.0 - np.exp(-2.0), 1.0), np.exp(-32.0),
+             np.nextafter(np.exp(-32.0), 0.0), 5e-324, np.nextafter(1.0, 0.0)],
+        ])
+        ours = np.array([normal_quantile(float(p)) for p in grid])
+        mismatched = grid[ours != ndtri(grid)]
+        assert mismatched.size == 0, mismatched[:5]
+
+    @pytest.mark.parametrize("beta, expected", [
+        (0.0, -np.inf), (1.0, np.inf), (-0.1, np.nan), (1.1, np.nan), (np.nan, np.nan)])
+    def test_edge_values(self, beta, expected):
+        got = normal_quantile(beta)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_interval_level_outside_unit_interval_is_refused(alpha):
+    ds = simulate_dataset(well_conditioned_spec(), 1500, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="alpha"):
+        reduced_estimate(ds, 0, 0, alpha=alpha)
+    with pytest.raises(ValidationError, match="alpha"):
+        bootstrap_ci(ds, 0, 0, 20, alpha=alpha, rng=0)
+
 
 class TestBootstrap:
     def test_degenerate_resamples_give_zero_width(self):
