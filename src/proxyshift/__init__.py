@@ -20,7 +20,7 @@ from .bench import (ExperimentConfig, ReplicateRecord, run_baseline_comparison,
 from .categorical import (CategorySpec, condition_number, numeric_row_rank,
                           right_pseudoinverse, validate_stochastic)
 from .causal import (FitOptions, ThetaParams, causal_estimate, fit_causal,
-                     g_of_theta, log_likelihood, logits_to_theta)
+                     g_of_theta, log_likelihood)
 from .errors import (BootstrapError, DatasetFormatError, EmptyCellError,
                      FilterExhaustedError, NoValidPartitionError,
                      OutOfSupportError, ProxyShiftError, RankDeficiencyError,

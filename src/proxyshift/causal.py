@@ -6,22 +6,22 @@ column-wise softmax.  The observed-data likelihood mixes over the hidden
 confounder; fitting uses a quasi-Newton optimiser with an analytic gradient
 (the parameter count grows like ``k_u * k_w * k_x * k_y``, so finite
 differences would dominate the runtime).  The causal effect is then read off
-the fitted mechanism by the decomposition
-``diag(p_y_uw @ p_w_u) @ q_u``; unlike the plug-in estimator it is a convex
-combination of probabilities, so no clipping is ever needed.
+the fitted mechanism by the decomposition ``sum_u q_u sum_w p(y|u,w,x) p(w|u)``
+(:func:`proxyshift.scm.effect_given_u`); unlike the plug-in estimator it is a
+convex combination of probabilities, so no clipping is ever needed.  The fit
+and :func:`log_likelihood` evaluate the one likelihood, :func:`_objective`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .reduced import EffectEstimate
-from .scm import ContingencyCounts
+from .scm import ContingencyCounts, effect_given_u
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,10 @@ class FitOptions:
             raise ValidationError("seed must be non-negative")
 
 
-class ThetaProbs(NamedTuple):
-    """Softmax view of the mechanism logits: strictly positive,
-    column-stochastic probability arrays."""
-
-    p_u_given_e: np.ndarray   # (k_u, k_e)
-    q_u: np.ndarray           # (k_u,)
-    p_w_given_u: np.ndarray   # (k_w, k_u)
-    p_x_given_u: np.ndarray   # (k_x, k_u)
-    p_y_given_uwx: np.ndarray  # (k_y, k_u, k_w, k_x)
-
-
 @dataclass(frozen=True, eq=False)
 class ThetaParams:
-    """Raw logit blocks mirroring the five structural conditionals."""
+    """Raw logit blocks mirroring the five structural conditionals.  Every
+    logit is finite, so each softmax is a strictly positive pmf."""
 
     u_e: np.ndarray
     q_u: np.ndarray
@@ -68,14 +58,15 @@ class ThetaParams:
     def __post_init__(self):
         for name in ("u_e", "q_u", "w_u", "x_u", "y_uwx"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"non-finite logits in block {name}")
             object.__setattr__(self, name, arr)
-        if self.u_e.ndim != 2 or self.q_u.ndim != 1 or self.w_u.ndim != 2 \
-                or self.x_u.ndim != 2 or self.y_uwx.ndim != 4:
+        if self.y_uwx.ndim != 4:
             raise ValidationError("logit blocks have wrong dimensionality")
-        k_u = self.u_e.shape[0]
-        if (self.q_u.shape[0] != k_u or self.w_u.shape[1] != k_u
-                or self.x_u.shape[1] != k_u or self.y_uwx.shape[1] != k_u):
-            raise ValidationError("logit blocks disagree on the confounder cardinality")
+        k_y, k_u, k_w, k_x = self.y_uwx.shape
+        if (self.u_e.ndim != 2 or self.u_e.shape[0] != k_u or self.q_u.shape != (k_u,)
+                or self.w_u.shape != (k_w, k_u) or self.x_u.shape != (k_x, k_u)):
+            raise ValidationError("logit blocks disagree on their cardinalities")
 
     @property
     def k_u(self) -> int:
@@ -105,46 +96,6 @@ def _softmax0(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def logits_to_theta(theta: ThetaParams) -> ThetaProbs:
-    """Column-wise softmax of every logit block (over the outcome axis)."""
-    for name in ("u_e", "q_u", "w_u", "x_u", "y_uwx"):
-        if not np.all(np.isfinite(getattr(theta, name))):
-            raise ValidationError(f"non-finite logits in block {name}")
-    return ThetaProbs(
-        _softmax0(theta.u_e),
-        _softmax0(theta.q_u[:, None])[:, 0],
-        _softmax0(theta.w_u),
-        _softmax0(theta.x_u),
-        _softmax0(theta.y_uwx),
-    )
-
-
-def _observable_probs(probs: ThetaProbs) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture probabilities of the observables: the source cell table
-    ``p(y, x, w | e)`` and the target proxy marginal ``q(w)``."""
-    t = np.einsum("yuwx,wu,xu->yxwu", probs.p_y_given_uwx,
-                  probs.p_w_given_u, probs.p_x_given_u)
-    m = np.einsum("yxwu,ue->yxwe", t, probs.p_u_given_e)
-    q_w = probs.p_w_given_u @ probs.q_u
-    return m, q_w
-
-
-def log_likelihood(theta: ThetaParams | ThetaProbs,
-                   counts: ContingencyCounts) -> float:
-    """Observed-data log-likelihood, conditional on the domain labels.
-
-    ``0 * log 0`` is taken as 0, so empty cells contribute nothing.
-    """
-    probs = logits_to_theta(theta) if isinstance(theta, ThetaParams) else theta
-    m, q_w = _observable_probs(probs)
-    n = counts.n_yxwe.astype(float)
-    nw = counts.n_w_target.astype(float)
-    with np.errstate(divide="ignore"):
-        src = np.where(n > 0, n * np.log(np.where(n > 0, m, 1.0)), 0.0).sum()
-        tgt = np.where(nw > 0, nw * np.log(np.where(nw > 0, q_w, 1.0)), 0.0).sum()
-    return float(src + tgt)
-
-
 def _objective(counts: ContingencyCounts, k_u: int):
     """The negative log-likelihood and its gradient as ``f(flat) -> (nll, grad)``
     over the flat logit vector (the layout of :meth:`ThetaParams.flatten`).
@@ -154,8 +105,7 @@ def _objective(counts: ContingencyCounts, k_u: int):
     columns are softmaxed, so a gather permutation lays every column out as
     one contiguous group; in that order a block reads as the transpose of its
     probability matrix.  Only non-empty cells enter the likelihood, so
-    ``0 * log 0`` is 0.  :func:`log_likelihood` gives the same value through
-    the readable path.
+    ``0 * log 0`` is 0.
     """
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     n_cells = k_w * k_x * k_y
@@ -219,10 +169,22 @@ def _objective(counts: ContingencyCounts, k_u: int):
     return f
 
 
+def _evaluate(theta: ThetaParams, counts: ContingencyCounts) -> tuple[float, np.ndarray]:
+    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+    if theta.u_e.shape[1] != k_e or theta.y_uwx.shape != (k_y, theta.k_u, k_w, k_x):
+        raise ValidationError("logit blocks do not match the count table's dimensions")
+    return _objective(counts, theta.k_u)(theta.flatten())
+
+
+def log_likelihood(theta: ThetaParams, counts: ContingencyCounts) -> float:
+    """Observed-data log-likelihood, conditional on the domain labels; empty
+    cells contribute nothing (``0 * log 0`` is 0)."""
+    return -_evaluate(theta, counts)[0]
+
+
 def likelihood_gradient(theta: ThetaParams, counts: ContingencyCounts) -> np.ndarray:
     """Analytic gradient of the log-likelihood with respect to the logits."""
-    _, neg = _objective(counts, theta.k_u)(theta.flatten())
-    return -neg
+    return -_evaluate(theta, counts)[1]
 
 
 @dataclass(frozen=True)
@@ -285,12 +247,11 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
     return theta, diag
 
 
-def g_of_theta(theta: ThetaParams | ThetaProbs, x: int, y: int) -> float:
+def g_of_theta(theta: ThetaParams, x: int, y: int) -> float:
     """Causal effect implied by a mechanism parameter (plug-in value)."""
-    probs = logits_to_theta(theta) if isinstance(theta, ThetaParams) else theta
-    p_y_uw = probs.p_y_given_uwx[y, :, :, x]
-    inner = np.einsum("uw,wu->u", p_y_uw, probs.p_w_given_u)
-    return float(inner @ probs.q_u)
+    q_u = _softmax0(theta.q_u[:, None])[:, 0]
+    inner = effect_given_u(_softmax0(theta.y_uwx), _softmax0(theta.w_u), x, y)
+    return float(inner @ q_u)
 
 
 def causal_estimate(counts: ContingencyCounts, x: int, y: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .bench import (ExperimentConfig, run_baseline_comparison, run_coverage,
                     run_point_error, run_runtime)
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
-from .errors import DatasetFormatError, ProxyShiftError
-from .fileio import (atomic_write_text, dims_from_dict, load_dataset, load_dims,
-                     load_model, save_dataset, save_dims, save_model, write_json,
-                     write_records_csv)
+from .errors import ProxyShiftError
+from .fileio import (_check_keys, _check_types, atomic_write_text, dims_from_dict,
+                     load_dataset, load_dims, load_model, save_dataset, save_dims,
+                     save_model, write_json, write_records_csv)
 from .identify import Partition, discretize_proxy, identify_effect, reduce_proxy
 from .reduced import bootstrap_ci, reduced_estimate
 from .scm import population_views, sample_scm_spec, simulate_dataset
@@ -210,48 +210,6 @@ def _cmd_identify(args) -> int:
     _emit_json({"effect": effect, "x": args.x, "y": args.y,
                 "kappa": condition_number(views.p_w_ex)}, args.out)
     return 0
-
-
-def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
-    """Refuse a document that is not an object, a missing ``required`` key,
-    or a key not a field of ``cls``."""
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{what} must be a JSON object, got {doc!r}")
-    for key in required:
-        if key not in doc:
-            raise DatasetFormatError(f"{what} is missing key {key!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)}) if cls else []
-    if unknown:
-        raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_list_of(v, check) -> bool:
-    return isinstance(v, list) and all(map(check, v))
-
-
-# What a JSON value must be for each declared field type of a config class.
-_JSON_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "tuple[int, ...] | None": ("a list of integers or null",
-                               lambda v: v is None or _is_list_of(v, _is_int)),
-    "tuple[str, ...]": ("a list of strings",
-                        lambda v: _is_list_of(v, lambda s: isinstance(s, str))),
-}
-
-
-def _check_types(doc: dict, what: str, cls) -> None:
-    """Refuse a value whose JSON type does not fit its field of ``cls``."""
-    for f in fields(cls):
-        if f.name in doc:
-            expected, check = _JSON_TYPES[f.type]
-            if not check(doc[f.name]):
-                raise DatasetFormatError(
-                    f"{what} key {f.name!r} must be {expected}, got {doc[f.name]!r}")
 
 
 def _config_from_file(path) -> ExperimentConfig:

@@ -19,6 +19,7 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +59,58 @@ def dims_to_dict(dims: CategorySpec) -> dict:
     return out
 
 
+def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
+    """Refuse a document that is not an object, a missing ``required`` key,
+    or a key not a field of ``cls``."""
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{what} must be a JSON object, got {doc!r}")
+    for key in required:
+        if key not in doc:
+            raise DatasetFormatError(f"{what} is missing key {key!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)}) if cls else []
+    if unknown:
+        raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list_of(v, check) -> bool:
+    return isinstance(v, list) and all(map(check, v))
+
+
+_STRINGS = ("a list of strings", lambda v: _is_list_of(v, lambda s: isinstance(s, str)))
+
+# What a JSON value must be for each declared field type of a dataclass built
+# from JSON.  No value is coerced: ``2.5``, ``"2"`` and ``true`` are not integers.
+# An absent label list is None, but a JSON null is refused like any non-list.
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "tuple[int, ...] | None": ("a list of integers or null",
+                               lambda v: v is None or _is_list_of(v, _is_int)),
+    "tuple[str, ...]": _STRINGS,
+    "tuple[str, ...] | None": _STRINGS,
+}
+
+
+def _check_types(doc: dict, what: str, cls) -> None:
+    """Refuse a value whose JSON type does not fit its field of ``cls``."""
+    for f in fields(cls):
+        if f.name in doc:
+            expected, check = _JSON_TYPES[f.type]
+            if not check(doc[f.name]):
+                raise DatasetFormatError(
+                    f"{what} key {f.name!r} must be {expected}, got {doc[f.name]!r}")
+
+
 def dims_from_dict(d: dict) -> CategorySpec:
-    if not isinstance(d, dict):
-        raise DatasetFormatError(f"dims must be a JSON object, got {d!r}")
-    try:
-        return CategorySpec(
-            k_e=int(d["k_e"]), k_u=int(d["k_u"]), k_w=int(d["k_w"]),
-            k_x=int(d["k_x"]), k_y=int(d["k_y"]),
-            **{f"labels_{a}": tuple(d[f"labels_{a}"]) if f"labels_{a}" in d else None
-               for a in ("e", "u", "w", "x", "y")})
-    except KeyError as exc:
-        raise DatasetFormatError(f"dims file is missing key {exc}") from exc
+    """Dimensions from their JSON object: each ``k_*`` an integer and each
+    optional ``labels_*`` a list of strings; any other key is refused."""
+    _check_keys(d, "dims", [f"k_{axis}" for axis in "euwxy"], CategorySpec)
+    _check_types(d, "dims", CategorySpec)
+    return CategorySpec(**{f.name: d[f.name] for f in fields(CategorySpec) if f.name in d})
 
 
 def save_dims(dims: CategorySpec, path) -> None:

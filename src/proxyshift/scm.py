@@ -4,6 +4,10 @@ The generative story is ``E -> U -> (W, X) -> Y`` with ``Y`` depending on
 ``(U, W, X)``.  The target domain replaces the distribution of the hidden
 confounder ``U`` by ``q_u``; only ``W`` is observed there.  Category indices
 are 0-based in memory (file formats are 1-based, see :mod:`proxyshift.fileio`).
+
+Every effect averages :func:`effect_given_u` over a confounder law: ``q_u`` in
+:func:`true_effect`, ``q(u | x)`` in :func:`target_conditional` and
+``p(u | e, x)`` in :func:`population_views`.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ class Dataset(ContingencyCounts):
     hidden treatment/outcome columns of target records and is only populated
     by the simulator in benchmark mode, so the estimation pipeline can never
     silently use information that is unavailable in practice.  The records
-    are counted once, on construction; estimators read only the counts.
+    are counted once, on construction; estimators read only the counts.  A
+    dataset owns the record arrays it is given: it freezes them, not copies.
     """
 
     n_yxwe: np.ndarray = field(init=False, repr=False)
@@ -171,8 +176,7 @@ class Dataset(ContingencyCounts):
                                       f"{name} missing or out of range on a source record")
         # Each index is in range, so every record has a cell of the shifted table.  The
         # valid ones fill its source block and its target row; counts anywhere else
-        # are target records carrying x/y or source records missing them.  The one
-        # bincount runs before the records are copied, so it adds nothing to peak memory.
+        # are target records carrying x/y or source records missing them.
         shape = (d.k_y + 1, d.k_x + 1, d.k_w, d.k_e + 1)
         table = np.bincount(record_key(d, domain, w, x, y), minlength=math.prod(shape))
         table = table.reshape(shape)
@@ -185,7 +189,7 @@ class Dataset(ContingencyCounts):
         object.__setattr__(self, "n_yxwe", src[1:, 1:])
         object.__setattr__(self, "n_w_target", tgt[0, 0])
         for name, arr in arrays.items():
-            _freeze(self, name, arr.copy())
+            _freeze(self, name, arr)
         if self.target_xy is not None:
             tx, ty = (np.asarray(a, dtype=np.int64) for a in self.target_xy)
             if tx.size != self.n_w_target.sum() or ty.size != tx.size:
@@ -303,12 +307,17 @@ def interventional_sample(spec: ScmSpec, x: int, n: int,
     return _draw_categorical(rng, y_cols, _uwx_column(d, u, w, x))
 
 
+def effect_given_u(p_y_given_uwx: np.ndarray, p_w_given_u: np.ndarray,
+                   x: int, y: int) -> np.ndarray:
+    """``sum_w p(y | u, w, x) p(w | u)`` for each confounder level ``u``: the
+    effect of forcing ``X := x`` within one stratum of ``U``."""
+    return np.einsum("uw,wu->u", p_y_given_uwx[y, :, :, x], p_w_given_u)
+
+
 def true_effect(spec: ScmSpec, x: int, y: int) -> float:
     """Exact interventional probability of ``y`` under forcing ``X := x`` in
     the target domain, marginalised over the hidden confounder."""
-    p_y_uw = spec.p_y_given_uwx[y, :, :, x]
-    p_y_u = np.einsum("uw,wu->u", p_y_uw, spec.p_w_given_u)
-    return float(p_y_u @ spec.q_u)
+    return float(effect_given_u(spec.p_y_given_uwx, spec.p_w_given_u, x, y) @ spec.q_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,15 +326,12 @@ class PopulationViews:
 
     ``p_y_ex`` is the row vector of ``p(y | e, x)`` over source domains,
     ``p_w_ex`` the column-stochastic ``(k_w, k_e)`` matrix of
-    ``p(w | e, x)``, ``q_w`` the target proxy marginal, and
-    ``p_yxw_given_e`` the full ``(k_y, k_x, k_w, k_e)`` table of source cell
-    probabilities ``p(y, x, w | e)``.
+    ``p(w | e, x)`` and ``q_w`` the target proxy marginal.
     """
 
     p_y_ex: np.ndarray
     p_w_ex: np.ndarray
     q_w: np.ndarray
-    p_yxw_given_e: np.ndarray
 
 
 def population_views(spec: ScmSpec, x: int, y: int) -> PopulationViews:
@@ -334,20 +340,13 @@ def population_views(spec: ScmSpec, x: int, y: int) -> PopulationViews:
     unnorm = px[:, None] * spec.p_u_given_e
     p_u_ex = unnorm / unnorm.sum(axis=0, keepdims=True)
     p_w_ex = spec.p_w_given_u @ p_u_ex
-    p_y_uw = spec.p_y_given_uwx[y, :, :, x]
-    p_y_ux = np.einsum("uw,wu->u", p_y_uw, spec.p_w_given_u)
-    p_y_ex = p_y_ux @ p_u_ex
+    p_y_ex = effect_given_u(spec.p_y_given_uwx, spec.p_w_given_u, x, y) @ p_u_ex
     q_w = spec.p_w_given_u @ spec.q_u
-    p_yxw_given_e = np.einsum("yuwx,wu,xu,ue->yxwe", spec.p_y_given_uwx,
-                              spec.p_w_given_u, spec.p_x_given_u,
-                              spec.p_u_given_e)
-    return PopulationViews(p_y_ex, p_w_ex, q_w, p_yxw_given_e)
+    return PopulationViews(p_y_ex, p_w_ex, q_w)
 
 
 def target_conditional(spec: ScmSpec, x: int, y: int) -> float:
     """Exact target-domain conditional ``q(y | x)`` (not the causal effect)."""
     unnorm = spec.p_x_given_u[x, :] * spec.q_u
     q_u_x = unnorm / unnorm.sum()
-    p_y_uw = spec.p_y_given_uwx[y, :, :, x]
-    p_y_ux = np.einsum("uw,wu->u", p_y_uw, spec.p_w_given_u)
-    return float(p_y_ux @ q_u_x)
+    return float(effect_given_u(spec.p_y_given_uwx, spec.p_w_given_u, x, y) @ q_u_x)

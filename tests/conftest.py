@@ -2,11 +2,43 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from proxyshift.categorical import CategorySpec
 from proxyshift.scm import ScmSpec
+
+
+class Mechanism(NamedTuple):
+    """The five structural conditionals, named as on :class:`ScmSpec`."""
+
+    p_u_given_e: np.ndarray
+    q_u: np.ndarray
+    p_w_given_u: np.ndarray
+    p_x_given_u: np.ndarray
+    p_y_given_uwx: np.ndarray
+
+
+def softmax_mechanism(theta) -> Mechanism:
+    """The probabilities of a ``ThetaParams``: every logit block softmaxed
+    over its leading (outcome) axis."""
+    def softmax(logits):
+        e = np.exp(logits - logits.max(axis=0, keepdims=True))
+        return e / e.sum(axis=0, keepdims=True)
+
+    return Mechanism(*map(softmax, (theta.u_e, theta.q_u, theta.w_u, theta.x_u,
+                                    theta.y_uwx)))
+
+
+def source_cells(mechanism) -> np.ndarray:
+    """The ``(k_y, k_x, k_w, k_e)`` table of source cell probabilities
+    ``p(y, x, w | e)`` of a model or a :class:`Mechanism`, as one einsum: the
+    reference for the likelihood's mixture."""
+    return np.einsum("yuwx,wu,xu,ue->yxwe", mechanism.p_y_given_uwx,
+                     mechanism.p_w_given_u, mechanism.p_x_given_u,
+                     mechanism.p_u_given_e)
 
 
 def constant_outcome_tensor(p_y1_given_ux: np.ndarray, k_w: int) -> np.ndarray:

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyshift.categorical import CategorySpec
-from proxyshift.causal import (FitOptions, ThetaParams, _objective,
-                               _observable_probs, causal_estimate, fit_causal,
-                               g_of_theta, likelihood_gradient, log_likelihood,
-                               logits_to_theta)
+from proxyshift.causal import (FitOptions, ThetaParams, _objective, causal_estimate,
+                               fit_causal, g_of_theta, likelihood_gradient,
+                               log_likelihood)
 from proxyshift.errors import ValidationError
 from proxyshift.identify import causal_decomposition_effect
 from proxyshift.scm import (ContingencyCounts, sample_scm_spec, simulate_dataset,
                             true_effect)
 
-from conftest import nonidentified_spec, well_conditioned_spec
+from conftest import (nonidentified_spec, softmax_mechanism, source_cells,
+                      well_conditioned_spec)
 
 
 def theta_from_spec(spec) -> ThetaParams:
@@ -47,11 +47,10 @@ def _softmax_backprop(p, g):
 def reference_objective(flat, counts, k_u, k_e, k_w, k_x, k_y):
     """The negative log-likelihood and its gradient on the structured blocks,
     one einsum per contraction: the reference for ``_objective``."""
-    theta = ThetaParams.from_flat(flat, k_u, k_e, k_w, k_x, k_y)
-    probs = logits_to_theta(theta)
+    probs = softmax_mechanism(ThetaParams.from_flat(flat, k_u, k_e, k_w, k_x, k_y))
     a, qu, wm, xm, ym = probs
     t = np.einsum("yuwx,wu,xu->yxwu", ym, wm, xm)
-    m = np.einsum("yxwu,ue->yxwe", t, a)
+    m = source_cells(probs)
     q_w = wm @ qu
 
     n = counts.n_yxwe.astype(float)
@@ -89,44 +88,65 @@ def assert_matches_reference(counts, theta: ThetaParams, tol=1e-12):
 
 
 class TestLogitsToTheta:
+    """The logit parametrisation of the mechanism, seen through the public
+    paths that apply it: :class:`ThetaParams`, ``log_likelihood`` and
+    ``g_of_theta``."""
+
     def test_zero_logits_are_uniform(self):
         theta = ThetaParams(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)),
                             np.zeros((2, 3)), np.zeros((2, 3, 2, 2)))
-        probs = logits_to_theta(theta)
-        np.testing.assert_allclose(probs.p_u_given_e, 1.0 / 3.0)
-        np.testing.assert_allclose(probs.q_u, 1.0 / 3.0)
-        np.testing.assert_allclose(probs.p_y_given_uwx, 0.5)
+        counts = random_counts(np.random.default_rng(23), CategorySpec(2, 3, 2, 2, 2))
+        # every source cell has probability 1/8 and every target proxy level 1/2
+        expected = -counts.n_src * math.log(8) - counts.n_tgt * math.log(2)
+        assert log_likelihood(theta, counts) == pytest.approx(expected, rel=1e-14)
+        assert g_of_theta(theta, 1, 0) == pytest.approx(0.5, abs=1e-15)
 
     def test_shift_invariance(self):
+        # adding any constant to one column of a block leaves its softmax unchanged
         rng = np.random.default_rng(0)
         theta = random_theta(rng, 2, 2, 2, 2, 2)
-        shifted = ThetaParams(theta.u_e + 3.7, theta.q_u - 1.2, theta.w_u + 0.5,
-                              theta.x_u, theta.y_uwx + 9.0)
-        a, b = logits_to_theta(theta), logits_to_theta(shifted)
-        for pa, pb in zip(a, b):
-            np.testing.assert_allclose(pa, pb, atol=1e-14)
+        shifted = ThetaParams(theta.u_e + rng.normal(size=(1, 2)) * 5,
+                              theta.q_u - 1.2, theta.w_u + rng.normal(size=(1, 2)) * 5,
+                              theta.x_u + rng.normal(size=(1, 2)) * 5,
+                              theta.y_uwx + rng.normal(size=(1, 2, 2, 2)) * 5)
+        counts = random_counts(np.random.default_rng(24), CategorySpec(2, 2, 2, 2, 2))
+        assert log_likelihood(shifted, counts) == pytest.approx(
+            log_likelihood(theta, counts), rel=1e-13)
+        for x in range(2):
+            for y in range(2):
+                assert g_of_theta(shifted, x, y) == pytest.approx(
+                    g_of_theta(theta, x, y), abs=1e-14)
 
     def test_log_two_logit(self):
+        # p(u | e) = (2/3, 1/3) and p(y=0 | u) = (1/2, 3/4): one source record
+        # with y = 0 has probability 2/3 * 1/2 + 1/3 * 3/4 = 7/12
+        y_uwx = np.zeros((2, 2, 1, 1))
+        y_uwx[0, 1] = math.log(3.0)
         theta = ThetaParams(np.array([[math.log(2.0)], [0.0]]), np.zeros(2),
-                            np.zeros((1, 2)), np.zeros((1, 2)),
-                            np.zeros((1, 2, 1, 1)))
-        probs = logits_to_theta(theta)
-        np.testing.assert_allclose(probs.p_u_given_e[:, 0], [2 / 3, 1 / 3],
-                                   atol=1e-15)
+                            np.zeros((1, 2)), np.zeros((1, 2)), y_uwx)
+        tensor = np.zeros((2, 1, 1, 1), dtype=int)
+        tensor[0, 0, 0, 0] = 1
+        counts = ContingencyCounts(tensor, np.zeros(1, dtype=int))
+        assert log_likelihood(theta, counts) == pytest.approx(math.log(7 / 12),
+                                                              abs=1e-15)
 
     def test_rejects_non_finite(self):
-        theta = ThetaParams(np.array([[np.inf], [0.0]]), np.zeros(2),
-                            np.zeros((1, 2)), np.zeros((1, 2)),
-                            np.zeros((1, 2, 1, 1)))
-        with pytest.raises(ValidationError):
-            logits_to_theta(theta)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="u_e"):
+                ThetaParams(np.array([[bad], [0.0]]), np.zeros(2), np.zeros((1, 2)),
+                            np.zeros((1, 2)), np.zeros((1, 2, 1, 1)))
+            flat = np.zeros(12)
+            flat[-1] = bad
+            with pytest.raises(ValidationError, match="y_uwx"):
+                ThetaParams.from_flat(flat, 2, 1, 1, 1, 2)
 
     def test_columns_sum_to_one(self):
+        # every p(y | u, w, x) column sums to one, so the effects over y do too
         rng = np.random.default_rng(1)
-        probs = logits_to_theta(random_theta(rng, 3, 2, 4, 2, 3))
-        np.testing.assert_allclose(probs.p_w_given_u.sum(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_allclose(probs.p_y_given_uwx.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(probs.p_w_given_u > 0)
+        theta = random_theta(rng, 3, 2, 4, 2, 3)
+        for x in range(2):
+            total = sum(g_of_theta(theta, x, y) for y in range(3))
+            assert total == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLogLikelihood:
@@ -153,10 +173,26 @@ class TestLogLikelihood:
 
     def test_truth_logits_reproduce_model_probabilities(self):
         spec = well_conditioned_spec()
-        probs = logits_to_theta(theta_from_spec(spec))
-        np.testing.assert_allclose(probs.p_u_given_e, spec.p_u_given_e, atol=1e-12)
-        m, q_w = _observable_probs(probs)
-        np.testing.assert_allclose(q_w, spec.p_w_given_u @ spec.q_u, atol=1e-12)
+        theta = theta_from_spec(spec)
+        for got, want in zip(softmax_mechanism(theta), (
+                spec.p_u_given_e, spec.q_u, spec.p_w_given_u, spec.p_x_given_u,
+                spec.p_y_given_uwx)):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        counts = simulate_dataset(spec, 500, np.random.default_rng(25))
+        expected = (counts.n_yxwe * np.log(source_cells(spec))).sum() \
+            + counts.n_w_target @ np.log(spec.p_w_given_u @ spec.q_u)
+        assert log_likelihood(theta, counts) == pytest.approx(expected, rel=1e-12)
+
+    def test_refuses_blocks_that_do_not_match_the_counts(self):
+        # k_w and k_x swapped: the flat vector has the right length, but its
+        # blocks would be read with the wrong shapes
+        counts = random_counts(np.random.default_rng(26), CategorySpec(2, 2, 3, 2, 2))
+        theta = random_theta(np.random.default_rng(27), 2, 2, 2, 3, 2)
+        for evaluate in (log_likelihood, likelihood_gradient):
+            with pytest.raises(ValidationError, match="count table"):
+                evaluate(theta, counts)
+        with pytest.raises(ValidationError, match="cardinalities"):
+            ThetaParams(theta.u_e, theta.q_u, theta.x_u, theta.w_u, theta.y_uwx)
 
 
 class TestLikelihoodGradient:
@@ -208,13 +244,6 @@ class TestObjective:
         for counts in (with_target, no_target):
             for k_u in (1, 2, 3):
                 assert_matches_reference(counts, random_theta(rng, k_u, 3, 2, 3, 2))
-
-    def test_value_is_the_log_likelihood(self):
-        rng = np.random.default_rng(19)
-        counts = random_counts(rng, CategorySpec(3, 2, 3, 2, 2))
-        theta = random_theta(rng, 2, 3, 3, 2, 2)
-        f, _ = _objective(counts, 2)(theta.flatten())
-        assert -f == pytest.approx(log_likelihood(theta, counts), rel=1e-12)
 
     def test_returns_fresh_gradients(self):
         rng = np.random.default_rng(20)
@@ -289,7 +318,7 @@ class TestFitCausal:
         ds = simulate_dataset(spec, 2_000_000, np.random.default_rng(32))
         counts = ds
         theta, _ = fit_causal(counts, FitOptions(seed=1), k_u=1)
-        m, _ = _observable_probs(logits_to_theta(theta))
+        m = source_cells(softmax_mechanism(theta))
         empirical = counts.n_yxwe[:, :, :, 0] / counts.n_src
         tv = 0.5 * np.abs(m[:, :, :, 0] - empirical).sum()
         assert tv < 1e-3
@@ -311,7 +340,7 @@ class TestFitCausal:
         ds = simulate_dataset(spec, 400_000, np.random.default_rng(16))
         counts = ds
         theta, _ = fit_causal(counts, FitOptions(seed=7), k_u=2)
-        m, _ = _observable_probs(logits_to_theta(theta))
+        m = source_cells(softmax_mechanism(theta))
         for e in range(2):
             empirical = counts.n_yxwe[:, :, :, e] / counts.n_yxwe[:, :, :, e].sum()
             tv = 0.5 * np.abs(m[:, :, :, e] - empirical).sum()
@@ -354,7 +383,7 @@ class TestGOfTheta:
         rng = np.random.default_rng(10)
         for _ in range(10):
             theta = random_theta(rng, 3, 2, 3, 2, 2)
-            probs = logits_to_theta(theta)
+            probs = softmax_mechanism(theta)
             expected = causal_decomposition_effect(
                 probs.p_y_given_uwx[1][:, :, 0], probs.p_w_given_u, probs.q_u)
             assert g_of_theta(theta, 0, 1) == pytest.approx(expected, abs=1e-14)

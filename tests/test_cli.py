@@ -53,6 +53,18 @@ def test_import_does_not_load_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
+def main_and_scipy_modules(argv) -> str:
+    """Run ``main(argv)`` in a fresh process; print its exit code and every
+    ``scipy`` module loaded by the time it returns."""
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from proxyshift.cli import main; rc = main(sys.argv[1:]); "
+         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])", *argv],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
 @pytest.mark.parametrize("extra", [["--method", "reduced", "--bootstrap", "20"],
                                    ["--method", "noadj"]])
 def test_estimate_never_loads_scipy(tmp_path, extra):
@@ -60,14 +72,21 @@ def test_estimate_never_loads_scipy(tmp_path, extra):
     out = tmp_path / "est.json"
     argv = ["estimate", "--data", str(data), "--dims", str(dims), "--x", "1", "--y", "1",
             "--out", str(out), *extra]
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from proxyshift.cli import main; rc = main(sys.argv[1:]); "
-         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])", *argv],
-        capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "0 []"
+    assert main_and_scipy_modules(argv) == "0 []"
     assert "ci_lower" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--seed", "3", "--n", "200", "--out-data"]),
+    ("identify", ["--x", "1", "--y", "1", "--out"]),
+    ("reduce-proxy", ["--x", "1", "--out"]),
+])
+def test_model_commands_never_load_scipy(tmp_path, command, flags):
+    model, _, dims = simulate_fixture(tmp_path)
+    source = ["--dims", str(dims)] if command == "simulate" else ["--model", str(model)]
+    out = tmp_path / "out"
+    assert main_and_scipy_modules([command, *source, *flags, str(out)]) == "0 []"
+    assert out.stat().st_size > 0
 
 
 class TestExitCodes:
@@ -117,12 +136,29 @@ class TestExitCodes:
         ("bench", {"dims": 5}, "dims"),
         ("bench", [1], "config file"),
         ("discretize", [0.5], "partition file"),
+        # dims values are taken as typed, never coerced
+        ("dims", {"k_e": 2.5}, "k_e"),
+        ("dims", {"k_e": "2"}, "k_e"),
+        ("dims", {"k_e": True}, "k_e"),
+        ("dims", {"k_e": None}, "k_e"),
+        ("dims", {"labels_e": "ab"}, "labels_e"),
+        ("dims", {"labels_y": None}, "labels_y"),
+        ("dims", {"lables_e": ["a", "b"]}, "lables_e"),
+        ("bench", {"dims": {"k_e": 2.5, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2}}, "k_e"),
+        ("model", {"dims": {"k_e": 2, "k_u": 2, "k_w": True, "k_x": 2, "k_y": 2}}, "k_w"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"
+        if case == "dims":
+            doc = {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2, **doc}
         path.write_text(json.dumps(doc))
         if case == "bench":
             res = run_cli("bench", "point-error", "--config", str(path))
+        elif case == "dims":
+            res = run_cli("estimate", "--data", str(tmp_path / "d.csv"), "--dims", str(path),
+                          "--x", "1", "--y", "1")
+        elif case == "model":
+            res = run_cli("identify", "--model", str(path), "--x", "1", "--y", "1")
         else:
             values = tmp_path / "v.txt"
             values.write_text("1\n")

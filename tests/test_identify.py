@@ -12,7 +12,8 @@ from proxyshift.identify import (Partition, causal_decomposition_effect,
                                  identify_total_effect_with_covariate,
                                  reduce_proxy)
 from proxyshift.identify import search_partition
-from proxyshift.scm import population_views, sample_scm_spec, true_effect
+from proxyshift.scm import (population_views, sample_scm_spec, target_conditional,
+                            true_effect)
 
 from conftest import nonidentified_spec
 
@@ -26,6 +27,19 @@ def brute_force_effect(spec, x, y):
                      for w in range(d.k_w))
         total += p_y_ux * spec.q_u[u]
     return total
+
+
+def brute_force_target_conditional(spec, x, y):
+    """Independent oracle for ``q(y | x)``: the same sum over ``u`` and ``w``,
+    weighted by ``q(u, x)`` and normalised by ``q(x)``."""
+    d = spec.dims
+    joint = q_x = 0.0
+    for u in range(d.k_u):
+        q_ux = spec.q_u[u] * spec.p_x_given_u[x, u]
+        for w in range(d.k_w):
+            joint += q_ux * spec.p_w_given_u[w, u] * spec.p_y_given_uwx[y, u, w, x]
+        q_x += q_ux
+    return joint / q_x
 
 
 class TestIdentifyEffect:
@@ -89,6 +103,10 @@ class TestCausalDecomposition:
                     a = causal_decomposition_effect(
                         spec.p_y_given_uwx[y][:, :, x], spec.p_w_given_u, spec.q_u)
                     assert a == pytest.approx(true_effect(spec, x, y), abs=1e-14)
+                    assert true_effect(spec, x, y) == pytest.approx(
+                        brute_force_effect(spec, x, y), abs=1e-14)
+                    assert target_conditional(spec, x, y) == pytest.approx(
+                        brute_force_target_conditional(spec, x, y), abs=1e-14)
 
 
 def rank_limited_stochastic(rng, k_rows: int, rank: int, k_cols: int) -> np.ndarray:

@@ -16,14 +16,14 @@ from proxyshift.reduced import (EtaVector, _cell_table, _h_batch, _h_raw,
 from proxyshift.scm import (TARGET, ContingencyCounts, Dataset, population_views,
                             sample_scm_spec, simulate_dataset, true_effect)
 
-from conftest import well_conditioned_spec
+from conftest import source_cells, well_conditioned_spec
 
 
 def population_eta(spec, x, y) -> EtaVector:
     """Exact population value of the statistic vector."""
     views = population_views(spec, x, y)
     prior = spec.domain_prior
-    cells = views.p_yxw_given_e
+    cells = source_cells(spec)
     k_w, k_e = spec.dims.k_w, spec.dims.k_e
     values = [prior[-1] * views.q_w[j] for j in range(k_w - 1)]
     values.append(prior[-1])

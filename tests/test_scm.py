@@ -14,7 +14,7 @@ from proxyshift.scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec
                             sample_scm_spec, simulate_dataset,
                             target_conditional, true_effect)
 
-from conftest import nonidentified_spec
+from conftest import nonidentified_spec, source_cells
 
 
 def point_mass_spec() -> ScmSpec:
@@ -132,13 +132,13 @@ class TestSimulateDataset:
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(3))
         n = 100_000
         counts = simulate_dataset(spec, n, np.random.default_rng(17))
-        views = population_views(spec, 0, 0)
+        cells = source_cells(spec)
         d = spec.dims
         for yv in range(d.k_y):
             for xv in range(d.k_x):
                 for wv in range(d.k_w):
                     for ev in range(d.k_e):
-                        p = views.p_yxw_given_e[yv, xv, wv, ev] * spec.domain_prior[ev]
+                        p = cells[yv, xv, wv, ev] * spec.domain_prior[ev]
                         se = np.sqrt(p * (1 - p) / n)
                         freq = counts.n_yxwe[yv, xv, wv, ev] / n
                         assert abs(freq - p) < 4 * se
@@ -275,7 +275,7 @@ class TestPopulationViews:
     def test_cells_sum_to_one_per_domain(self):
         spec = sample_scm_spec(CategorySpec(3, 2, 3, 2, 2), np.random.default_rng(14))
         views = population_views(spec, 0, 0)
-        np.testing.assert_allclose(views.p_yxw_given_e.sum(axis=(0, 1, 2)), 1.0,
+        np.testing.assert_allclose(source_cells(spec).sum(axis=(0, 1, 2)), 1.0,
                                    atol=1e-12)
         np.testing.assert_allclose(views.p_w_ex.sum(axis=0), 1.0, atol=1e-12)
         assert views.q_w.sum() == pytest.approx(1.0, abs=1e-12)
