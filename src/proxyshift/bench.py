@@ -55,7 +55,8 @@ _COVERAGE_METHODS = ("reduced_asym", "reduced_boot")
 _ESTIMATION_ERRORS = (ProxyShiftError, np.linalg.LinAlgError)
 
 CSV_HEADER = ("model,dataset,estimator,x,y,estimate,truth,abs_error,"
-              "kappa_true,kappa_hat,ci_lower,ci_upper,covered,wall_time_s,error")
+              "kappa_true,kappa_hat,ci_lower,ci_upper,covered,boot_failed,"
+              "boot_perturbed,wall_time_s,error")
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -106,7 +107,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicateRecord:
-    """One estimator evaluation on one simulated dataset."""
+    """One estimator evaluation on one simulated dataset.  ``boot_failed``
+    and ``boot_perturbed`` are a ``reduced_boot`` interval's failed and
+    rank-repaired resamples."""
 
     model: int
     dataset: int
@@ -121,6 +124,8 @@ class ReplicateRecord:
     ci_lower: float | None = None
     ci_upper: float | None = None
     covered: bool | None = None
+    boot_failed: int | None = None
+    boot_perturbed: int | None = None
     wall_time_s: float = 0.0
     error: str | None = None
 
@@ -139,7 +144,7 @@ class ReplicateRecord:
         cells = [self.model, self.dataset, self.estimator, self.x + 1, self.y + 1,
                  self.estimate, self.truth, self.abs_error, self.kappa_true,
                  self.kappa_hat, self.ci_lower, self.ci_upper, self.covered,
-                 self.wall_time_s, error]
+                 self.boot_failed, self.boot_perturbed, self.wall_time_s, error]
         return ",".join(fmt(c) for c in cells)
 
 
@@ -295,8 +300,9 @@ def _coverage_task(args) -> list[ReplicateRecord]:
                             rng=derive_rng(config.master_seed, _SALT_BOOT, *key))
     except _ESTIMATION_ERRORS as exc:
         return [asym, _row(shared, "reduced_boot", est.kappa_hat, error=exc)]
-    return [asym, _row(shared, "reduced_boot", est.kappa_hat, est.point,
-                       (boot.ci_lower, boot.ci_upper))]
+    boot_row = _row(shared, "reduced_boot", est.kappa_hat, est.point,
+                    (boot.ci_lower, boot.ci_upper))
+    return [asym, replace(boot_row, boot_failed=boot.failed, boot_perturbed=boot.perturbed)]
 
 
 def run_coverage(config: ExperimentConfig) -> tuple[list[ReplicateRecord], dict]:

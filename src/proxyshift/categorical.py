@@ -9,6 +9,7 @@ categories per axis), so everything is dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,33 +112,55 @@ def right_pseudoinverse(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     over largest singular value below ``rank_tol``) raises
     :class:`SingularMatrixError`.
     """
-    pinv, singular = stacked_right_pseudoinverse(_as_matrix(a)[None], rank_tol)
+    pinv, singular = stacked_svd(_as_matrix(a)[None]).right_pseudoinverse(rank_tol)
     if singular:
         raise singular[0]
     return pinv[0]
 
 
-def stacked_right_pseudoinverse(a: np.ndarray, rank_tol=RANK_REL_TOL
-                                ) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
-    """Right pseudo-inverses of a ``(B, m, n)`` stack through one stacked SVD.
+def _row_ranks(s: np.ndarray, rel_tol) -> np.ndarray:
+    """Ranks from the ``(B, k)`` singular values of a stack; ``rel_tol`` is a
+    scalar or one tolerance per matrix."""
+    ranks = np.count_nonzero(s >= np.reshape(rel_tol, (-1, 1)) * s[:, :1], axis=1)
+    ranks[s[:, 0] <= 0.0] = 0
+    return ranks
 
-    ``rank_tol`` is a scalar or one tolerance per matrix.  Returns the
-    ``(B, n, m)`` pseudo-inverses and, keyed by stack index, the
-    :class:`SingularMatrixError` that :func:`right_pseudoinverse` raises for
-    each numerically singular matrix; those matrices' pseudo-inverses are
-    meaningless.
-    """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    tol = np.broadcast_to(rank_tol, s.shape[:1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = s[:, -1] / s[:, 0]
-        pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
-    singular = {
-        int(i): SingularMatrixError(
-            f"singular system: singular-value ratio {ratio[i] if s[i, 0] > 0 else 0.0:.3e} "
-            f"below tolerance {tol[i]:.1e}")
-        for i in np.flatnonzero((s[:, 0] <= 0.0) | (ratio < tol))}
-    return pinv, singular
+
+class StackedSvd(NamedTuple):
+    """Thin SVDs of a ``(B, m, n)`` stack, ``a[i] = u[i] diag(s[i]) vt[i]``:
+    one decomposition serves both the rank test and the pseudo-inverses."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    def row_rank(self, rel_tol=RANK_REL_TOL) -> np.ndarray:
+        """:func:`numeric_row_rank` of every matrix of the stack."""
+        return _row_ranks(self.s, rel_tol)
+
+    def right_pseudoinverse(self, rank_tol=RANK_REL_TOL
+                            ) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
+        """The ``(B, n, m)`` right pseudo-inverses and, keyed by stack index,
+        the :class:`SingularMatrixError` that :func:`right_pseudoinverse`
+        raises for each numerically singular matrix; those matrices'
+        pseudo-inverses are meaningless.  ``rank_tol`` is a scalar or one
+        tolerance per matrix."""
+        u, s, vt = self
+        tol = np.broadcast_to(rank_tol, s.shape[:1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = s[:, -1] / s[:, 0]
+            pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+        singular = {
+            int(i): SingularMatrixError(
+                f"singular system: singular-value ratio {ratio[i] if s[i, 0] > 0 else 0.0:.3e} "
+                f"below tolerance {tol[i]:.1e}")
+            for i in np.flatnonzero((s[:, 0] <= 0.0) | (ratio < tol))}
+        return pinv, singular
+
+
+def stacked_svd(a: np.ndarray) -> StackedSvd:
+    """The thin SVD of every matrix in a ``(B, m, n)`` stack, as one call."""
+    return StackedSvd(*np.linalg.svd(a, full_matrices=False))
 
 
 def condition_number(a) -> float:
@@ -159,13 +182,4 @@ def condition_number(a) -> float:
 
 def numeric_row_rank(a, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular values of ``a`` at least ``rel_tol * sigma_max``."""
-    return int(stacked_row_rank(_as_matrix(a)[None], rel_tol)[0])
-
-
-def stacked_row_rank(a: np.ndarray, rel_tol=RANK_REL_TOL) -> np.ndarray:
-    """:func:`numeric_row_rank` of every matrix in a ``(B, m, n)`` stack, from
-    one stacked SVD; ``rel_tol`` is a scalar or one tolerance per matrix."""
-    s = np.linalg.svd(a, compute_uv=False)
-    ranks = np.count_nonzero(s >= np.reshape(rel_tol, (-1, 1)) * s[:, :1], axis=1)
-    ranks[s[:, 0] <= 0.0] = 0
-    return ranks
+    return int(_row_ranks(np.linalg.svd(_as_matrix(a), compute_uv=False)[None], rel_tol)[0])

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .categorical import (RANK_REL_TOL, _freeze, condition_number,
-                          stacked_right_pseudoinverse, stacked_row_rank)
+from .categorical import RANK_REL_TOL, _freeze, condition_number, stacked_svd
 from .errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
 from .scm import ContingencyCounts
 
@@ -277,38 +276,63 @@ def _checked_matrices(values: np.ndarray, k_w: int, k_e: int):
     return parts, matrices, errors
 
 
-def _map_inputs(values: np.ndarray, k_w: int, k_e: int, rank_tol):
-    """``(parts, A, A^+, q, p_y, errors)`` of ``h = p_y^T A^+ q`` for a ``(B,
-    k_eta)`` batch: the target proxy marginals (last entry by complement),
-    proxy matrices, one stacked SVD's pseudo-inverses (``rank_tol`` scalar or
-    per row) and outcome conditionals, with each failing row's
-    :class:`EmptyCellError` or :class:`SingularMatrixError`."""
+class _Map(NamedTuple):
+    """The identification map ``h = p_y^T A^+ q`` on a ``(B, k_eta)`` batch,
+    with the pieces it is built from."""
+
+    values: np.ndarray     # the batch, after any rank repair
+    parts: _EtaParts
+    matrices: np.ndarray   # (B, k_w, k_e) proxy matrices A
+    pinv: np.ndarray       # (B, k_e, k_w) A^+
+    q_w: np.ndarray        # (B, k_w) target proxy marginals, last by complement
+    p_y_ex: np.ndarray     # (B, k_e) outcome conditionals
+    h: np.ndarray          # (B,) the map, NaN where a row fails
+    errors: dict[int, ProxyShiftError]
+    perturbed: np.ndarray  # (B,) rows the rank repair was applied to
+    tol: np.ndarray        # (B,) each row's pseudo-inverse tolerance
+
+
+def _evaluate(values: np.ndarray, k_w: int, k_e: int, rank_tol=RANK_REL_TOL,
+              repair: bool = False) -> _Map:
+    """The map on a ``(B, k_eta)`` batch, from one stacked SVD of its proxy
+    matrices.  ``rank_tol`` is a scalar or one tolerance per row.
+
+    With ``repair``, the same SVD gives the rank test: rows without an empty
+    cell whose proxy matrix has numeric row rank below ``k_w`` at
+    ``rank_tol`` are perturbed (:func:`_perturb_values`), decomposed again
+    and evaluated at ``_PERTURBED_RANK_TOL``.  ``errors`` maps each failing
+    row to its :class:`EmptyCellError` or :class:`SingularMatrixError`.
+    """
     parts, matrices, errors = _checked_matrices(values, k_w, k_e)
-    pinv, singular = stacked_right_pseudoinverse(matrices, rank_tol)
+    svd = stacked_svd(matrices)
+    perturbed = np.zeros(len(values), dtype=bool)
+    if repair:
+        perturbed = svd.row_rank(rank_tol) < k_w
+        perturbed[list(errors)] = False
+        if perturbed.any():
+            values = values.copy()
+            values[perturbed] = _perturb_values(values[perturbed], k_w, k_e)
+            parts, matrices, errors = _checked_matrices(values, k_w, k_e)
+            for whole, rows in zip(svd, stacked_svd(matrices[perturbed])):
+                whole[perturbed] = rows
+    tol = np.where(perturbed, _PERTURBED_RANK_TOL, rank_tol)
+    pinv, singular = svd.right_pseudoinverse(tol)
+    errors = {**singular, **errors}
     with np.errstate(divide="ignore", invalid="ignore"):
         q_w_top = parts.q_w_t / parts.q_t[:, None]
         q_w = np.concatenate([q_w_top, 1.0 - q_w_top.sum(axis=1, keepdims=True)], axis=1)
         p_y_ex = parts.p_yxe / parts.p_xe
-    return parts, matrices, pinv, q_w, p_y_ex, {**singular, **errors}
-
-
-def _h_batch(values: np.ndarray, k_w: int, k_e: int,
-             rank_tol=RANK_REL_TOL) -> tuple[np.ndarray, dict[int, ProxyShiftError]]:
-    """The identification map on a ``(B, k_eta)`` batch: the ``(B,)`` values
-    (NaN where a row fails) and the errors of :func:`_map_inputs`."""
-    _, _, pinv, q_w, p_y_ex, errors = _map_inputs(values, k_w, k_e, rank_tol)
-    with np.errstate(invalid="ignore"):
         h = (p_y_ex[:, None, :] @ pinv @ q_w[:, :, None])[:, 0, 0]
     h[list(errors)] = np.nan
-    return h, errors
+    return _Map(values, parts, matrices, pinv, q_w, p_y_ex, h, errors, perturbed, tol)
 
 
 def _h_raw(values: np.ndarray, k_w: int, k_e: int,
            rank_tol: float = RANK_REL_TOL) -> float:
-    h, errors = _h_batch(np.asarray(values, dtype=float)[None], k_w, k_e, rank_tol)
-    if errors:
-        raise errors[0]
-    return float(h[0])
+    ev = _evaluate(np.asarray(values, dtype=float)[None], k_w, k_e, rank_tol)
+    if ev.errors:
+        raise ev.errors[0]
+    return float(ev.h[0])
 
 
 def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
@@ -332,11 +356,11 @@ def grad_h(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     (A^+T b) r^T - a b^T``, chained back through the complements and ratios
     that build ``q``, ``A`` and ``p_y``.  Raises what :func:`h_of_eta` raises.
     """
-    parts, mats, pinvs, q_ws, p_ys, errors = _map_inputs(eta.values[None], eta.k_w, eta.k_e,
-                                                         rank_tol)
-    if errors:
-        raise errors[0]
-    q_t, p_xe, m, pinv, q, p = parts.q_t[0], parts.p_xe[0], mats[0], pinvs[0], q_ws[0], p_ys[0]
+    ev = _evaluate(eta.values[None], eta.k_w, eta.k_e, rank_tol)
+    if ev.errors:
+        raise ev.errors[0]
+    q_t, p_xe, m = ev.parts.q_t[0], ev.parts.p_xe[0], ev.matrices[0]
+    pinv, q, p = ev.pinv[0], ev.q_w[0], ev.p_y_ex[0]
     a, b = pinv.T @ p, pinv @ q
     g_m = np.outer(pinv.T @ b, p - pinv @ (m @ p)) - np.outer(a, b)
     g_wxe = (g_m[:-1] - g_m[-1]).T / p_xe[:, None]
@@ -365,22 +389,6 @@ def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
 _PERTURBED_RANK_TOL = 1e-13
 
 
-def _rank_repair(values: np.ndarray, k_w: int, k_e: int,
-                 rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank test and repair of a ``(B, k_eta)`` batch.
-
-    Rows whose proxy matrix has numeric row rank below ``k_w`` at
-    ``rank_tol`` are perturbed.  Returns (values, perturbed mask, per-row
-    evaluation tolerance for the pseudo-inverse).  Rows that fail their cell
-    check are left alone: :func:`_h_batch` reports them.
-    """
-    _, matrices, errors = _checked_matrices(values, k_w, k_e)
-    perturbed = stacked_row_rank(matrices, rank_tol) < k_w
-    perturbed[list(errors)] = False
-    out = np.where(perturbed[:, None], _perturb_values(values, k_w, k_e), values)
-    return out, perturbed, np.where(perturbed, _PERTURBED_RANK_TOL, rank_tol)
-
-
 class _Centre(NamedTuple):
     """The full-sample estimate that both intervals are centred on."""
 
@@ -394,9 +402,11 @@ class _Centre(NamedTuple):
 def _centre(counts: ContingencyCounts, x: int, y: int, rank_tol: float) -> _Centre:
     k_w, k_e = counts.n_yxwe.shape[2:]
     table = _cell_table(counts, x, y, k_w, k_e)
-    values, perturbed, tol = _rank_repair(table.eta.values[None], k_w, k_e, rank_tol)
-    work = EtaVector(values[0], k_w, k_e)
-    return _Centre(table, work, bool(perturbed[0]), tol[0], h_of_eta(work, tol[0]))
+    ev = _evaluate(table.eta.values[None], k_w, k_e, rank_tol, repair=True)
+    if ev.errors:
+        raise ev.errors[0]
+    return _Centre(table, EtaVector(ev.values[0], k_w, k_e), bool(ev.perturbed[0]), ev.tol[0],
+                   float(ev.h[0]))
 
 
 def _clip01(v: float) -> float:
@@ -450,45 +460,60 @@ class BootstrapCI(NamedTuple):
     perturbed: int = 0
 
 
+def _merged_categories(table: _CellTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's cells merged by identical profile rows: each category's
+    summed count and its profile, in lexicographic order of the profile rows,
+    so that the order depends on the counts only.  A record enters a
+    resample's statistic vector only through its profile, and merging the
+    categories of a multinomial gives a multinomial, so redrawing the merged
+    categories is exact in distribution."""
+    packed = np.packbits(table.profiles != 0.0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.bincount(inverse, weights=table.counts), table.profiles[first]
+
+
 def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
                  alpha: float = 0.05, rng: np.random.Generator | int | None = None,
                  rank_tol: float = RANK_REL_TOL,
                  failure_budget: float = 0.1) -> BootstrapCI:
     """Normal-approximation bootstrap interval for the plug-in estimator.
 
-    Each resample redraws the ``n`` records with replacement (realised as a
-    multinomial redraw of the cell counts, which is equivalent and avoids
-    touching individual records); the interval is centred at the full-sample
-    estimate with half-width ``sigma_boot`` times the normal quantile, then
-    clipped to [0, 1].  Resamples are keyed by their index, so any parallel
-    execution order reproduces the same draws.
+    Each resample redraws the ``n`` records with replacement, realised as a
+    multinomial redraw over the cells merged by identical profile rows
+    (:func:`_merged_categories`), which is equivalent and avoids touching
+    individual records; the interval is centred at the full-sample estimate
+    with half-width ``sigma_boot`` times the normal quantile, then clipped to
+    [0, 1].  Resamples are keyed by their index, so any parallel execution
+    order reproduces the same draws.
 
     All resamples are evaluated as one batch: their statistic vectors come
-    from one matrix product, the rank test and repair act as a mask, and the
-    map takes one stacked SVD.  A resample fails only when it has an empty
-    cell (:class:`EmptyCellError`) or a singular proxy matrix
-    (:class:`SingularMatrixError`); any other error propagates.  More than
-    ``failure_budget * n_boot`` failed resamples abort with
-    :class:`BootstrapError`.
+    from one matrix product, and one stacked SVD gives both the rank test
+    (the repair acts as a mask) and the pseudo-inverses.  A resample fails
+    only when it has an empty cell (:class:`EmptyCellError`) or a singular
+    proxy matrix (:class:`SingularMatrixError`); any other error propagates.
+    More than ``failure_budget * n_boot`` failed resamples, or fewer than two
+    estimates, abort with :class:`BootstrapError`.
     """
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
     check_alpha(alpha)
     centre = _centre(counts, x, y, rank_tol)
     table, k_w, k_e = centre.table, centre.work.k_w, centre.work.k_e
-    probs = table.counts / table.n
+    category_counts, profiles = _merged_categories(table)
+    probs = category_counts / table.n
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     base = int(rng.integers(2 ** 62))
     draws = np.array([np.random.default_rng([base, b]).multinomial(table.n, probs)
                       for b in range(n_boot)])
-    values, perturbed, tol = _rank_repair((draws / table.n) @ table.profiles, k_w, k_e, rank_tol)
-    estimates, errors = _h_batch(values, k_w, k_e, tol)
-    failures = len(errors)
-    if failures > failure_budget * n_boot:
+    ev = _evaluate((draws / table.n) @ profiles, k_w, k_e, rank_tol, repair=True)
+    failures = len(ev.errors)
+    if failures > failure_budget * n_boot or n_boot - failures < 2:
         raise BootstrapError(
-            f"{failures}/{n_boot} bootstrap resamples failed to produce an estimate")
-    sigma_boot = float(np.std(np.delete(estimates, list(errors)), ddof=1))
+            f"{failures}/{n_boot} bootstrap resamples failed to produce an estimate"
+            + ("; the interval needs at least two" if n_boot - failures < 2 else ""))
+    sigma_boot = float(np.std(np.delete(ev.h, list(ev.errors)), ddof=1))
     half = sigma_boot * normal_quantile(1.0 - alpha / 2.0)
     return BootstrapCI(_clip01(centre.point - half), _clip01(centre.point + half), sigma_boot,
-                       failures, int(perturbed.sum()))
+                       failures, int(ev.perturbed.sum()))

@@ -11,6 +11,7 @@ from proxyshift.bench import (ALL_ESTIMATORS, ExperimentConfig,
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import (BootstrapError, EmptyCellError,
                                FilterExhaustedError, ValidationError)
+from proxyshift.fileio import write_records_csv
 
 
 def small_config(**overrides):
@@ -145,6 +146,20 @@ class TestCoverage:
         _, summary = run_coverage(config)
         assert set(summary) == {800, 1600}
 
+    def test_boot_rows_carry_resample_counts(self, monkeypatch, tmp_path):
+        real = bench.bootstrap_ci
+        monkeypatch.setattr(bench, "bootstrap_ci",
+                            lambda *a, **k: real(*a, **k)._replace(failed=3, perturbed=2))
+        records, _ = run_coverage(small_config(n_models=1, bootstrap_b=16))
+        for r in records:
+            want = (3, 2) if r.estimator == "reduced_boot" else (None, None)
+            assert (r.boot_failed, r.boot_perturbed) == want
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        columns = [dict(zip(header, row)) for row in rows]
+        assert [(c["estimator"], c["boot_failed"], c["boot_perturbed"]) for c in columns] == [
+            ("reduced_asym", "", ""), ("reduced_boot", "3", "2")] * 2
 
     def test_bootstrap_failure_is_the_boot_row(self, monkeypatch):
         def failing(*args, **kwargs):

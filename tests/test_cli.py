@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from proxyshift import CategorySpec, bootstrap_ci, sample_scm_spec, simulate_dataset
 from proxyshift.fileio import save_model
 
 from conftest import nonidentified_spec
@@ -224,6 +226,22 @@ class TestEstimate:
         block = json.loads(res.stdout)["bootstrap"]
         assert block["failed"] == 0
         assert block["perturbed"] == 0
+
+    def test_bootstrap_matches_in_process(self, tmp_path):
+        # the CLI reads the CSV into counts, the library call takes the
+        # simulated Dataset: both must merge the cells into the same
+        # categories, in the same order, to make the same draws
+        _, data, dims = simulate_fixture(tmp_path / "a", seed=11, n=3000)
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--bootstrap", "64", "--seed", "5")
+        assert res.returncode == 0, res.stderr
+        block = json.loads(res.stdout)["bootstrap"]
+        rng = np.random.default_rng(11)
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), rng)
+        boot = bootstrap_ci(simulate_dataset(spec, 3000, rng), 0, 0, 64, rng=5)
+        for key in ("ci_lower", "ci_upper", "sigma_boot"):
+            assert abs(block[key] - getattr(boot, key)) <= 1e-12, key
+        assert (block["failed"], block["perturbed"]) == (boot.failed, boot.perturbed)
 
     def test_causal_and_baseline_methods(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")

@@ -1,16 +1,18 @@
 """Statistic vector, identification map, delta-method and bootstrap intervals."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import proxyshift.reduced as reduced
 from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec, condition_number, numeric_row_rank
-from proxyshift.errors import EmptyCellError, ProxyShiftError, ValidationError
-from proxyshift.reduced import (EtaVector, _cell_table, _h_batch, _h_raw,
-                                _perturb_values, _proxy_matrix, _split_eta,
+from proxyshift.errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
+from proxyshift.reduced import (EtaVector, _cell_table, _evaluate, _h_raw,
+                                _merged_categories, _perturb_values, _proxy_matrix, _split_eta,
                                 bootstrap_ci, eta_from_counts, grad_h, h_of_eta,
                                 normal_quantile, reduced_estimate)
 from proxyshift.scm import (TARGET, ContingencyCounts, Dataset, population_views,
@@ -350,19 +352,30 @@ def assert_matches_complex_step(eta: EtaVector):
                                atol=1e-10 * np.abs(want).max())
 
 
+def reference_categories(table) -> tuple[np.ndarray, np.ndarray]:
+    """The cells merged by identical profile rows, through a dict keyed by
+    the row tuples, in lexicographic order of the rows."""
+    merged: dict[tuple, int] = {}
+    for count, row in zip(table.counts, table.profiles):
+        merged[tuple(row)] = merged.get(tuple(row), 0) + int(count)
+    rows = sorted(merged)
+    return np.array([merged[r] for r in rows]), np.array(rows)
+
+
 def reference_bootstrap(ds, x, y, n_boot, seed, alpha=0.05):
-    """The bootstrap one resample at a time: keyed draws, the cell check and
-    rank repair per resample, one map call each.  The resamples' statistic
-    vectors come from the same matrix product as in ``bootstrap_ci``."""
+    """The bootstrap one resample at a time: keyed draws over the merged
+    categories of :func:`reference_categories`, the cell check and rank
+    repair per resample, one map call each."""
     counts = ds
     k_w, k_e = counts.n_yxwe.shape[2:]
     table = _cell_table(counts, x, y, k_w, k_e)
-    probs = table.counts / table.n
+    category_counts, profiles = reference_categories(table)
+    probs = category_counts / table.n
     base = int(np.random.default_rng(seed).integers(2 ** 62))
     draws = np.array([np.random.default_rng([base, b]).multinomial(table.n, probs)
                       for b in range(n_boot)])
     estimates, failures, perturbed = [], [], 0
-    for values in (draws / table.n) @ table.profiles:
+    for values in (draws / table.n) @ profiles:
         parts = _split_eta(values, k_w, k_e)
         tol = reduced.RANK_REL_TOL
         if (parts.q_t > 0.0 and np.all(parts.p_xe > 0.0)
@@ -448,6 +461,27 @@ def eta_batches(draw):
     return values, k_w, k_e, tols
 
 
+@st.composite
+def rank_deficient_batches(draw):
+    """A batch from :func:`eta_batches` (``k_w >= 2``) behind a first row
+    without empty cells whose domains' proxy and treatment cells are
+    power-of-two multiples of domain 0's: its proxy matrix has identical
+    columns, so rank 1.  The rank repair breaks the tie when the multiples
+    differ and leaves it singular when they are all equal."""
+    values, k_w, k_e, tols = draw(eta_batches())
+    assume(k_w >= 2)
+    kw1 = k_w - 1
+    row = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=values.shape[1],
+                                 max_size=values.shape[1])))
+    scales = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 0.25, 2.0]),
+                                    min_size=k_e, max_size=k_e)))
+    proxy = row[k_w:k_w + kw1 * k_e].reshape(k_e, kw1)
+    row[k_w:k_w + kw1 * k_e] = (proxy[0] * scales[:, None]).ravel()
+    p_xe = k_w + kw1 * k_e + k_e
+    row[p_xe:] = row[p_xe] * scales
+    return np.vstack([row, values]), k_w, k_e, np.append(draw(st.sampled_from([1e-9, 1e-6])), tols)
+
+
 class TestStackedMap:
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (3, 3, 3, 2, 2),
                                       (12, 6, 6, 2, 2), (30, 10, 10, 2, 2),
@@ -464,9 +498,9 @@ class TestStackedMap:
         eta = eta_from_counts(ds, 0, 0)
         assert_matches_complex_step(eta)
         batch = np.stack([eta.values, eta.values * 0.5])
-        h, errors = _h_batch(batch, 1, 3)
-        assert not errors
-        assert h[0] == h_of_eta(eta) == _h_raw(batch[1], 1, 3)
+        ev = _evaluate(batch, 1, 3)
+        assert not ev.errors
+        assert ev.h[0] == h_of_eta(eta) == _h_raw(batch[1], 1, 3)
         boot = bootstrap_ci(ds, 0, 0, 50, rng=1)
         assert boot.failed == 0 and boot.perturbed == 0
         assert boot.ci_lower <= boot.ci_upper
@@ -494,7 +528,9 @@ class TestStackedMap:
     @given(eta_batches())
     def test_batch_equals_rows_one_by_one(self, batch):
         values, k_w, k_e, tols = batch
-        h, errors = _h_batch(values, k_w, k_e, tols)
+        ev = _evaluate(values, k_w, k_e, tols)
+        h, errors = ev.h, ev.errors
+        assert not ev.perturbed.any() and np.array_equal(ev.values, values)
         for i, row in enumerate(values):
             try:
                 want = _h_raw(row, k_w, k_e, tols[i])
@@ -505,6 +541,33 @@ class TestStackedMap:
             else:
                 assert i not in errors
                 assert h[i] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(rank_deficient_batches())
+    def test_repaired_batch_equals_rows_one_by_one(self, batch):
+        # one SVD gives the rank test and the pseudo-inverses; the reference
+        # takes numeric_row_rank, then perturbs and maps each row on its own
+        values, k_w, k_e, tols = batch
+        ev = _evaluate(values, k_w, k_e, tols, repair=True)
+        assert ev.perturbed[0]
+        for i, row in enumerate(values):
+            parts, tol = _split_eta(row, k_w, k_e), tols[i]
+            repair = bool(parts.q_t > 0.0 and np.all(parts.p_xe > 0.0)
+                          and numeric_row_rank(_proxy_matrix(parts), tol) < k_w)
+            if repair:
+                row, tol = _perturb_values(row, k_w, k_e), reduced._PERTURBED_RANK_TOL
+            assert ev.perturbed[i] == repair
+            assert ev.tol[i] == tol
+            assert np.array_equal(ev.values[i], row)
+            try:
+                want = _h_raw(row, k_w, k_e, tol)
+            except ProxyShiftError as exc:
+                assert type(ev.errors[i]) is type(exc)
+                assert str(ev.errors[i]) == str(exc)
+                assert np.isnan(ev.h[i])
+            else:
+                assert i not in ev.errors
+                assert ev.h[i] == want
 
     def test_cell_table_matches_cell_loop(self):
         rng = np.random.default_rng(17)
@@ -521,16 +584,83 @@ class TestStackedMap:
                 assert np.array_equal(table.profiles, want_profiles)
 
 
-class TestBootstrapFailures:
-    def test_programming_errors_propagate(self, monkeypatch):
-        real = reduced.stacked_right_pseudoinverse
+def random_counts(rng, k_y, k_x, k_w, k_e, high=4) -> ContingencyCounts:
+    """A count table with many empty and many repeated cells."""
+    return ContingencyCounts(rng.integers(0, high, size=(k_y, k_x, k_w, k_e)),
+                             rng.integers(0, high, size=k_w))
 
-        def broken_for_resamples(matrices, rank_tol):
+
+class TestMergedCategories:
+    """The bootstrap redraws cells merged by identical profile rows."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 1, 3), (2, 3, 4, 2), (3, 3, 3, 5)])
+    def test_merge_is_exact(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        k_y, k_x, k_w, k_e = dims
+        for _ in range(10):
+            counts = random_counts(rng, *dims)
+            if counts.n == 0:
+                continue
+            table = _cell_table(counts, int(rng.integers(k_x)), int(rng.integers(k_y)), k_w, k_e)
+            merged, profiles = _merged_categories(table)
+            self.check_merge(table, merged, profiles, k_w, k_e)
+
+    def test_coverage_wide_dims(self):
+        spec = sample_scm_spec(CategorySpec(30, 2, 10, 2, 2), np.random.default_rng(3))
+        ds = simulate_dataset(spec, 20_000, np.random.default_rng(4))
+        table = _cell_table(ds, 0, 0, 10, 30)
+        merged, profiles = _merged_categories(table)
+        self.check_merge(table, merged, profiles, 10, 30)
+        assert len(merged) < len(table.counts) / 1.5
+        assert not profiles[0].any()   # the untreated cells, first in order
+
+    @staticmethod
+    def check_merge(table, merged, profiles, k_w, k_e):
+        assert len({tuple(r) for r in profiles}) == len(profiles)
+        assert merged.sum() == table.n
+        assert len(merged) <= 2 * k_w * k_e + k_w + 1
+        p_cell, p_cat = table.counts / table.n, merged / table.n
+        np.testing.assert_allclose(p_cat @ profiles, p_cell @ table.profiles,
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(profiles.T @ (p_cat[:, None] * profiles),
+                                   table.profiles.T @ (p_cell[:, None] * table.profiles),
+                                   rtol=1e-14, atol=1e-15)
+        want_counts, want_profiles = reference_categories(table)
+        assert np.array_equal(merged, want_counts)
+        assert np.array_equal(profiles, want_profiles)
+
+
+class TestBootstrapFailures:
+    def test_fewer_than_two_estimates_is_an_error(self):
+        # one treated record per domain and one target record: most
+        # resamples lose one of them, so with failure_budget=1.0 some seeds
+        # leave fewer than two estimates for the spread
+        dims = CategorySpec(k_e=2, k_u=2, k_w=2, k_x=2, k_y=2)
+        recs = [(0, 0, 0, 0), (1, 1, 0, 1)] + [(0, 0, 1, 0)] * 3 + [(1, 1, 1, 1)] * 3
+        ds = Dataset.from_records(recs + [(TARGET, 0, None, None)], dims)
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(20):
+                try:
+                    boot = bootstrap_ci(ds, 0, 0, 4, rng=seed, failure_budget=1.0)
+                except BootstrapError as exc:
+                    assert "at least two" in str(exc)
+                    outcomes.add("refused")
+                else:
+                    assert boot.failed <= 2 and np.isfinite(boot.sigma_boot)
+                    outcomes.add("interval")
+        assert outcomes == {"refused", "interval"}
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        real = reduced.stacked_svd
+
+        def broken_for_resamples(matrices):
             if len(matrices) > 1:
                 raise TypeError("injected")
-            return real(matrices, rank_tol)
+            return real(matrices)
 
-        monkeypatch.setattr(reduced, "stacked_right_pseudoinverse", broken_for_resamples)
+        monkeypatch.setattr(reduced, "stacked_svd", broken_for_resamples)
         ds = simulate_dataset(well_conditioned_spec(), 800, np.random.default_rng(9))
         with pytest.raises(TypeError, match="injected"):
             bootstrap_ci(ds, 0, 0, 20, rng=7, failure_budget=1.0)
