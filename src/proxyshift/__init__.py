@@ -33,5 +33,5 @@ from .reduced import (BootstrapCI, EffectEstimate, EstimateFlags, EtaVector,
                       bootstrap_ci, eta_from_counts, grad_h, h_of_eta,
                       normal_quantile, reduced_estimate)
 from .scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
-                  interventional_sample, population_views, sample_scm_spec,
+                  population_views, sample_scm_spec, simulate_counts,
                   simulate_dataset, target_conditional, true_effect)

@@ -21,13 +21,14 @@ POOLED = "pooled"
 TARGET_SCOPE = "target"
 
 
-def oracle_estimate(y_draws, y: int) -> float:
-    """Empirical frequency of ``y`` among draws from the intervention
-    distribution itself."""
-    draws = np.asarray(y_draws, dtype=np.int64).reshape(-1)
-    if draws.size == 0:
-        raise ValidationError("oracle_estimate requires at least one draw")
-    return float(np.mean(draws == y))
+def oracle_estimate(y_counts, y: int) -> float:
+    """Empirical frequency of ``y`` in the ``(k_y,)`` outcome counts of draws
+    from the intervention distribution itself."""
+    counts = np.asarray(y_counts, dtype=np.int64).reshape(-1)
+    total = int(counts.sum())
+    if total == 0 or np.any(counts < 0):
+        raise ValidationError("oracle_estimate requires non-negative counts of at least one draw")
+    return float(counts[y] / total)
 
 
 def _scope_table(counts: ContingencyCounts, scope: str) -> np.ndarray:

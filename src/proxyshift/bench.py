@@ -23,28 +23,29 @@ from .causal import FitOptions, causal_estimate
 from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
 from .reduced import (EffectEstimate, bootstrap_ci, check_alpha, eta_from_counts,
                       reduced_estimate)
-from .scm import (ScmSpec, interventional_sample, population_views,
-                  sample_scm_spec, simulate_dataset, target_conditional,
+from .scm import (ScmSpec, interventional_counts, population_views,
+                  sample_scm_spec, simulate_counts, target_conditional,
                   true_effect)
 
 # Purpose salts for stream derivation, so the same (model, dataset) replicate
-# uses independent randomness for data, oracle draws, and bootstrap.
+# uses independent randomness for data, oracle counts, and bootstrap.
 _SALT_MODEL = 1
 _SALT_DATA = 2
 _SALT_ORACLE = 3
 _SALT_BOOT = 4
 
-# Each estimator as a call on (dataset, config, oracle draws).  The lambdas
-# look their functions up on this module when they run, so a wrapper set on
-# a module attribute (a tracer, a test's patch) sees every call.
+# Each estimator as a call on (counts, config, oracle outcome counts).  The
+# lambdas look their functions up on this module when they run, so a wrapper
+# set on a module attribute (a tracer, a test's patch) sees every call.
 _ESTIMATORS = {
-    "oracle": lambda ds, c, draws: oracle_estimate(draws, c.y),
-    "reduced": lambda ds, c, draws: reduced_estimate(ds, c.x, c.y, alpha=c.alpha),
-    "causal": lambda ds, c, draws: causal_estimate(ds, c.x, c.y, c.fit_options, k_u=c.dims.k_u),
-    "noadj": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, POOLED),
-    "noadj*": lambda ds, c, draws: no_adjustment(ds, c.x, c.y, TARGET_SCOPE),
-    "wadj": lambda ds, c, draws: w_adjustment(ds, c.x, c.y, POOLED),
-    "wadj*": lambda ds, c, draws: w_adjustment(ds, c.x, c.y, TARGET_SCOPE),
+    "oracle": lambda ds, c, y_counts: oracle_estimate(y_counts, c.y),
+    "reduced": lambda ds, c, y_counts: reduced_estimate(ds, c.x, c.y, alpha=c.alpha),
+    "causal": lambda ds, c, y_counts: causal_estimate(ds, c.x, c.y, c.fit_options,
+                                                      k_u=c.dims.k_u),
+    "noadj": lambda ds, c, y_counts: no_adjustment(ds, c.x, c.y, POOLED),
+    "noadj*": lambda ds, c, y_counts: no_adjustment(ds, c.x, c.y, TARGET_SCOPE),
+    "wadj": lambda ds, c, y_counts: w_adjustment(ds, c.x, c.y, POOLED),
+    "wadj*": lambda ds, c, y_counts: w_adjustment(ds, c.x, c.y, TARGET_SCOPE),
 }
 ALL_ESTIMATORS = tuple(_ESTIMATORS)
 
@@ -164,14 +165,14 @@ def _run_one_estimator(name: str, ds, spec: ScmSpec, config: ExperimentConfig,
                        candidate: int, dataset_idx: int):
     """Returns (estimator result, wall_time): an :class:`EffectEstimate` or a
     bare point.  Timing wraps only the estimator call, not data generation
-    (the oracle's draws included)."""
-    draws = None
+    (the oracle's outcome counts, drawn from the intervention law, included)."""
+    y_counts = None
     if name == "oracle":
-        draws = interventional_sample(
+        y_counts = interventional_counts(
             spec, config.x, config.n_samples,
             derive_rng(config.master_seed, _SALT_ORACLE, candidate, dataset_idx))
     t0 = time.perf_counter()
-    result = _ESTIMATORS[name](ds, config, draws)
+    result = _ESTIMATORS[name](ds, config, y_counts)
     return result, time.perf_counter() - t0
 
 
@@ -209,7 +210,7 @@ def _replicate_task(args) -> list[ReplicateRecord]:
     config, model_idx, candidate, dataset_idx = args
     spec = _model_for(config, candidate)
     shared = _shared_fields(config, spec, model_idx, dataset_idx)
-    ds = simulate_dataset(
+    ds = simulate_counts(
         spec, config.n_samples,
         derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx),
         benchmark_mode=config.benchmark_mode)
@@ -289,7 +290,7 @@ def _coverage_task(args) -> list[ReplicateRecord]:
     spec = _model_for(config, model_idx)
     shared = _shared_fields(config, spec, model_idx, dataset_idx)
     key = (model_idx, dataset_idx, n)
-    ds = simulate_dataset(spec, n, derive_rng(config.master_seed, _SALT_DATA, *key))
+    ds = simulate_counts(spec, n, derive_rng(config.master_seed, _SALT_DATA, *key))
     try:
         est = reduced_estimate(ds, x, y, alpha=config.alpha)
     except _ESTIMATION_ERRORS as exc:
@@ -347,9 +348,8 @@ def run_runtime(config: ExperimentConfig) -> dict:
     for n in config.sweep:
         cfg_n = replace(config, n_samples=n)
         spec = _model_for(cfg_n, 0)
-        ds = simulate_dataset(spec, n,
-                              derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n),
-                              benchmark_mode=cfg_n.benchmark_mode)
+        ds = simulate_counts(spec, n, derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n),
+                             benchmark_mode=cfg_n.benchmark_mode)
         per_est = {}
         for name in cfg_n.estimators:
             value = None

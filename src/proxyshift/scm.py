@@ -295,16 +295,37 @@ def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,
     return Dataset(d, e_raw, w, x, y, target_xy=target_xy)
 
 
-def interventional_sample(spec: ScmSpec, x: int, n: int,
+def _cell_law(spec: ScmSpec) -> np.ndarray:
+    """The ``(k_y, k_x, k_w, k_e + 1)`` table of joint record probabilities
+    ``prior[e] sum_u p(u | e) p(w | u) p(x | u) p(y | u, w, x)``, the target
+    domain last with ``q_u`` as its confounder law: the law of one record of
+    :func:`simulate_dataset` before the target's ``x, y`` are hidden."""
+    u_cols = np.column_stack([spec.p_u_given_e, spec.q_u])
+    return np.einsum("yuwx,wu,xu,ue,e->yxwe", spec.p_y_given_uwx, spec.p_w_given_u,
+                     spec.p_x_given_u, u_cols, spec.domain_prior)
+
+
+def simulate_counts(spec: ScmSpec, n: int, rng: np.random.Generator,
+                    benchmark_mode: bool = False) -> ContingencyCounts:
+    """The counts of ``n`` i.i.d. records of :func:`simulate_dataset`, drawn
+    as one multinomial over the cells of :func:`_cell_law` without building
+    the records.  The full table is always drawn, so ``benchmark_mode`` only
+    decides whether the target's hidden ``(y, x, w)`` cells are kept."""
+    if n < 0:
+        raise ValidationError("n must be non-negative")
+    law = _cell_law(spec)
+    table = rng.multinomial(n, law.reshape(-1)).reshape(law.shape)
+    target = table[..., -1]
+    return ContingencyCounts(table[..., :-1], target.sum(axis=(0, 1)),
+                             target if benchmark_mode else None)
+
+
+def interventional_counts(spec: ScmSpec, x: int, n: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` outcomes from the target-domain intervention distribution:
-    ``U`` from the target confounder law, ``W`` from the proxy mechanism,
-    ``X`` forced to ``x``, ``Y`` from its structural conditional."""
-    d = spec.dims
-    u = _draw_categorical(rng, spec.q_u[:, None], np.zeros(n, dtype=np.int64))
-    w = _draw_categorical(rng, spec.p_w_given_u, u)
-    y_cols = spec.p_y_given_uwx.reshape(d.k_y, -1)
-    return _draw_categorical(rng, y_cols, _uwx_column(d, u, w, x))
+    """The ``(k_y,)`` outcome counts of ``n`` draws from the target-domain
+    intervention distribution ``true_effect(spec, x, .)``, as one
+    multinomial."""
+    return rng.multinomial(n, [true_effect(spec, x, y) for y in range(spec.dims.k_y)])
 
 
 def effect_given_u(p_y_given_uwx: np.ndarray, p_w_given_u: np.ndarray,

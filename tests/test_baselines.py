@@ -8,7 +8,7 @@ from proxyshift.baselines import (no_adjustment, oracle_estimate, w_adjustment,
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError, ZeroDenominatorError
 from proxyshift.reduced import reduced_estimate
-from proxyshift.scm import (TARGET, Dataset, interventional_sample,
+from proxyshift.scm import (TARGET, Dataset, interventional_counts,
                             sample_scm_spec, simulate_dataset,
                             target_conditional, true_effect)
 
@@ -17,19 +17,24 @@ from conftest import nonidentified_spec
 
 class TestOracle:
     def test_counting(self):
-        assert oracle_estimate([0, 0, 1, 0], 0) == pytest.approx(0.75)
+        assert oracle_estimate([3, 1], 0) == pytest.approx(0.75)
 
     def test_all_hits(self):
-        assert oracle_estimate([1, 1, 1], 1) == 1.0
+        assert oracle_estimate([0, 3], 1) == 1.0
 
     def test_empty_raises(self):
+        for counts in ([], [0, 0]):
+            with pytest.raises(ValidationError):
+                oracle_estimate(counts, 0)
+
+    def test_negative_counts_raise(self):
         with pytest.raises(ValidationError):
-            oracle_estimate([], 0)
+            oracle_estimate([2, -1], 0)
 
     def test_matches_known_effect(self):
-        draws = interventional_sample(nonidentified_spec(1), 0, 200_000,
-                                      np.random.default_rng(40))
-        assert abs(oracle_estimate(draws, 0) - 0.39) < 0.005
+        counts = interventional_counts(nonidentified_spec(1), 0, 200_000,
+                                       np.random.default_rng(40))
+        assert abs(oracle_estimate(counts, 0) - 0.39) < 0.005
 
 
 def tiny_dims():
@@ -115,8 +120,8 @@ class TestDistributionProperties:
             for scope in ("pooled", "target"):
                 total = sum(fn(ds, 0, y, scope) for y in range(3))
                 assert total == pytest.approx(1.0, abs=1e-12)
-        draws = interventional_sample(spec, 0, 2000, np.random.default_rng(47))
-        assert sum(oracle_estimate(draws, y) for y in range(3)) == pytest.approx(1.0)
+        counts = interventional_counts(spec, 0, 2000, np.random.default_rng(47))
+        assert sum(oracle_estimate(counts, y) for y in range(3)) == pytest.approx(1.0)
 
     def test_confounded_spec_favors_adjusted_estimator(self):
         # median error of the naive conditional exceeds the plug-in

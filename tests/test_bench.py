@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import proxyshift.bench as bench
+import proxyshift.scm as scm
 from proxyshift.bench import (ALL_ESTIMATORS, ExperimentConfig,
                               accepted_model_candidates, derive_rng,
                               run_baseline_comparison, run_coverage,
@@ -243,6 +244,25 @@ class TestRuntime:
         rerun = run_runtime(config)
         for name in block:
             assert rerun[1000][name]["estimate"] == block[name]["estimate"]
+
+
+class TestCountSpace:
+    """The studies simulate each replicate as counts: none builds records."""
+
+    @pytest.mark.parametrize("study", [
+        lambda: run_point_error(small_config(n_models=1, n_datasets=1,
+                                             estimators=("reduced", "causal"))),
+        lambda: run_baseline_comparison(small_config(n_models=1, n_datasets=1)),
+        lambda: run_coverage(small_config(n_models=1, n_datasets=1, bootstrap_b=16)),
+        lambda: run_runtime(small_config(n_samples=500, repetitions=1,
+                                         estimators=ALL_ESTIMATORS)),
+    ], ids=["point_error", "baseline_comparison", "coverage", "runtime"])
+    def test_no_study_builds_a_dataset(self, monkeypatch, study):
+        def refuse(self):
+            raise AssertionError("a study built a Dataset")
+
+        monkeypatch.setattr(scm.Dataset, "__post_init__", refuse)
+        study()
 
 
 class TestRngDerivation:

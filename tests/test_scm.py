@@ -10,11 +10,11 @@ from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError
 from proxyshift.scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
-                            interventional_sample, population_views,
-                            sample_scm_spec, simulate_dataset,
+                            interventional_counts, population_views,
+                            sample_scm_spec, simulate_counts, simulate_dataset,
                             target_conditional, true_effect)
 
-from conftest import nonidentified_spec, source_cells
+from conftest import Mechanism, nonidentified_spec, source_cells
 
 
 def point_mass_spec() -> ScmSpec:
@@ -165,6 +165,85 @@ class TestSimulateDataset:
                 fn(plain, 0, 0, scope="target")
 
 
+def full_table(counts: ContingencyCounts) -> np.ndarray:
+    """The ``(k_y, k_x, k_w, k_e + 1)`` counts of benchmark-mode counts, the
+    hidden target cells last, as :func:`scm._cell_law` orders them."""
+    return np.concatenate([counts.n_yxwe, counts.n_yxw_target[..., None]], axis=3)
+
+
+class TestSimulateCounts:
+    SPECS = [(CategorySpec(2, 2, 2, 2, 2), 3), (CategorySpec(3, 2, 3, 2, 2), 14),
+             (CategorySpec(4, 3, 2, 3, 3), 15), (CategorySpec(1, 1, 1, 1, 1), 16)]
+
+    @pytest.mark.parametrize("dims, seed", SPECS)
+    def test_cell_law_is_the_record_law(self, dims, seed):
+        # source cells p(y, x, w | e) times the domain prior, and the target
+        # column the same mixture under q_u
+        spec = sample_scm_spec(dims, np.random.default_rng(seed))
+        target = Mechanism(spec.q_u[:, None], spec.q_u, spec.p_w_given_u,
+                           spec.p_x_given_u, spec.p_y_given_uwx)
+        expected = np.concatenate([source_cells(spec) * spec.domain_prior[:-1],
+                                   source_cells(target) * spec.domain_prior[-1]], axis=3)
+        law = scm._cell_law(spec)
+        assert law.shape == expected.shape
+        np.testing.assert_allclose(law, expected, rtol=0, atol=1e-14)
+        assert law.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_mean_counts_agree_with_the_record_sampler(self):
+        # R datasets of n records from each sampler: every cell's mean count
+        # differs by less than 5 standard errors of the difference
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 3), np.random.default_rng(7))
+        reps, n = 400, 1000
+        rng_counts, rng_records = np.random.default_rng(70), np.random.default_rng(71)
+        drawn = np.array([full_table(simulate_counts(spec, n, rng_counts, True))
+                          for _ in range(reps)])
+        recorded = np.array([full_table(simulate_dataset(spec, n, rng_records, True))
+                             for _ in range(reps)])
+        se = np.sqrt((drawn.var(axis=0, ddof=1) + recorded.var(axis=0, ddof=1)) / reps)
+        diff = np.abs(drawn.mean(axis=0) - recorded.mean(axis=0))
+        assert np.all(diff <= 5 * se)
+        # and both agree with the exact expectation
+        expected = n * scm._cell_law(spec)
+        for table in (drawn, recorded):
+            assert np.all(np.abs(table.mean(axis=0) - expected) <= 5 * se)
+
+    def test_benchmark_mode_only_keeps_the_hidden_table(self):
+        spec = sample_scm_spec(CategorySpec(3, 2, 3, 2, 2), np.random.default_rng(4))
+        plain = simulate_counts(spec, 5000, np.random.default_rng(6))
+        kept = simulate_counts(spec, 5000, np.random.default_rng(6), benchmark_mode=True)
+        assert np.array_equal(plain.n_yxwe, kept.n_yxwe)
+        assert np.array_equal(plain.n_w_target, kept.n_w_target)
+        assert plain.n_yxw_target is None
+        assert np.array_equal(kept.n_yxw_target.sum(axis=(0, 1)), kept.n_w_target)
+        assert kept.n == plain.n == 5000
+        for fn in (no_adjustment, w_adjustment):
+            with pytest.raises(ValidationError):
+                fn(plain, 0, 0, scope="target")
+
+    def test_empty_and_negative_sizes(self):
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(0))
+        counts = simulate_counts(spec, 0, np.random.default_rng(0), benchmark_mode=True)
+        assert counts.n == 0 and counts.n_yxw_target.sum() == 0
+        assert counts.n_yxwe.shape == (2, 2, 2, 2)
+        with pytest.raises(ValidationError):
+            simulate_counts(spec, -1, np.random.default_rng(0))
+
+    def test_point_masses_force_every_count(self):
+        counts = simulate_counts(point_mass_spec(), 200, np.random.default_rng(5),
+                                 benchmark_mode=True)
+        src = counts.n_yxwe[1, 0, 1]
+        assert src.sum() == counts.n_src and counts.n_src > 0
+        assert counts.n_w_target.tolist() == [0, counts.n_tgt]
+        assert counts.n_yxw_target[1, 0, 1] == counts.n_tgt > 0
+        assert counts.n == 200
+
+    def test_reproducible_bit_for_bit(self):
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(1))
+        a = simulate_counts(spec, 1000, np.random.default_rng(9), benchmark_mode=True)
+        b = simulate_counts(spec, 1000, np.random.default_rng(9), benchmark_mode=True)
+        assert np.array_equal(full_table(a), full_table(b))
+
+
 class TestDatasetInvariants:
     def test_target_rows_must_not_carry_xy(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
@@ -282,15 +361,19 @@ class TestPopulationViews:
 
 
 class TestInterventionalSample:
+    """A sample from the target intervention law, drawn as its outcome counts."""
+
     def test_point_mass(self):
-        draws = interventional_sample(point_mass_spec(), 0, 50, np.random.default_rng(2))
-        assert np.all(draws == 1)
+        counts = interventional_counts(point_mass_spec(), 0, 50, np.random.default_rng(2))
+        assert counts.tolist() == [0, 50]
 
     def test_empty(self):
-        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(0))
-        assert interventional_sample(spec, 0, 0, np.random.default_rng(0)).size == 0
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 3), np.random.default_rng(0))
+        counts = interventional_counts(spec, 0, 0, np.random.default_rng(0))
+        assert counts.tolist() == [0, 0, 0]
 
     def test_frequency_matches_known_effect(self):
-        draws = interventional_sample(nonidentified_spec(1), 0, 200_000,
-                                      np.random.default_rng(21))
-        assert abs(np.mean(draws == 0) - 0.39) < 0.005
+        counts = interventional_counts(nonidentified_spec(1), 0, 200_000,
+                                       np.random.default_rng(21))
+        assert counts.sum() == 200_000
+        assert abs(counts[0] / 200_000 - 0.39) < 0.005
