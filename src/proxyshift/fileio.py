@@ -7,10 +7,11 @@ flags) rather than being inferred from data, so categories that happen to be
 unobserved remain representable.  Every write is atomic
 (write-temp-then-rename) and numbers round-trip at full precision.
 
-Records exist only in the simulator: :func:`save_dataset` writes a simulated
-:class:`~proxyshift.scm.Dataset`, and :func:`load_dataset` reads a file
-straight into its :class:`~proxyshift.scm.ContingencyCounts`, the only input
-the estimators take.
+Records exist only on the CLI ``simulate`` path: :func:`save_dataset` writes
+the record arrays of a simulated :class:`~proxyshift.scm.Dataset`, whose
+target rows carry no treatment or outcome, and :func:`load_dataset` reads a
+file straight into its :class:`~proxyshift.scm.ContingencyCounts`, the only
+input the estimators take.
 """
 
 from __future__ import annotations

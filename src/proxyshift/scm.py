@@ -98,9 +98,10 @@ class ScmSpec:
 @dataclass(frozen=True, eq=False)
 class ContingencyCounts:
     """Sufficient statistics: a ``(k_y, k_x, k_w, k_e)`` source count tensor,
-    the target proxy counts and, only for records simulated in benchmark mode,
-    the hidden ``(k_y, k_x, k_w)`` target cell counts that the target-scope
-    baselines read.  The counts of disjoint record sets add."""
+    the target proxy counts and, only for counts drawn by
+    :func:`simulate_counts` in benchmark mode, the hidden ``(k_y, k_x, k_w)``
+    target cell counts that the target-scope baselines read.  The counts of
+    disjoint record sets add."""
 
     n_yxwe: np.ndarray
     n_w_target: np.ndarray
@@ -138,12 +139,13 @@ class Dataset(ContingencyCounts):
     """Unit records ``(domain, w, x, y)`` stored as parallel index arrays.
 
     ``domain`` is a 0-based source index or :data:`TARGET`; ``x`` and ``y``
-    are :data:`MISSING` exactly on target records.  ``target_xy`` carries the
-    hidden treatment/outcome columns of target records and is only populated
-    by the simulator in benchmark mode, so the estimation pipeline can never
-    silently use information that is unavailable in practice.  The records
-    are counted once, on construction; estimators read only the counts.  A
-    dataset owns the record arrays it is given: it freezes them, not copies.
+    are :data:`MISSING` exactly on target records, and the hidden target
+    cells ``n_yxw_target`` stay ``None``: only :func:`simulate_counts` in
+    benchmark mode keeps them.  Records exist for the CLI ``simulate`` path,
+    whose files :func:`~proxyshift.fileio.save_dataset` writes from the
+    record arrays.  The records are counted once, on construction;
+    estimators read only the counts.  A dataset owns the record arrays it is
+    given: it freezes them, not copies.
     """
 
     n_yxwe: np.ndarray = field(init=False, repr=False)
@@ -154,7 +156,6 @@ class Dataset(ContingencyCounts):
     w: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    target_xy: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         d = self.dims
@@ -190,17 +191,6 @@ class Dataset(ContingencyCounts):
         object.__setattr__(self, "n_w_target", tgt[0, 0])
         for name, arr in arrays.items():
             _freeze(self, name, arr)
-        if self.target_xy is not None:
-            tx, ty = (np.asarray(a, dtype=np.int64) for a in self.target_xy)
-            if tx.size != self.n_w_target.sum() or ty.size != tx.size:
-                raise ValidationError("target_xy length must match the target record count")
-            if np.any((tx < 0) | (tx >= d.k_x)) or np.any((ty < 0) | (ty >= d.k_y)):
-                raise ValidationError("target_xy index out of range")
-            tx.flags.writeable = ty.flags.writeable = False
-            object.__setattr__(self, "target_xy", (tx, ty))
-            hidden = np.bincount((ty * d.k_x + tx) * d.k_w + w[domain == TARGET],
-                                 minlength=d.k_y * d.k_x * d.k_w)
-            object.__setattr__(self, "n_yxw_target", hidden.reshape(d.k_y, d.k_x, d.k_w))
         super().__post_init__()
 
     @classmethod
@@ -261,16 +251,14 @@ def _uwx_column(dims: CategorySpec, u: np.ndarray, w: np.ndarray, x) -> np.ndarr
     return u
 
 
-def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,
-                     benchmark_mode: bool = False) -> Dataset:
+def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator) -> Dataset:
     """Ancestral forward sampling of ``n`` i.i.d. records.
 
     Each record draws ``E`` from the domain prior, ``U`` from its domain's
     confounder law (the target law when ``E`` is the target), then ``W``,
     ``X``, ``Y`` from their structural conditionals; ``U`` is discarded and
-    ``X, Y`` are dropped for target records.  With ``benchmark_mode`` the
-    dropped target treatment/outcome values are kept in ``target_xy`` for
-    baseline estimators that deliberately peek at them.
+    ``X, Y`` are dropped for target records.  :func:`simulate_counts` in
+    benchmark mode keeps their hidden cells for the target-scope baselines.
     """
     d = spec.dims
     if n < 0:
@@ -288,11 +276,10 @@ def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator,
     # hide the target records' domain, treatment and outcome in place, for
     # the same reason as in _uwx_column
     is_tgt = e_raw == d.k_e
-    target_xy = (x[is_tgt], y[is_tgt]) if benchmark_mode else None
     e_raw[is_tgt] = TARGET
     x[is_tgt] = MISSING
     y[is_tgt] = MISSING
-    return Dataset(d, e_raw, w, x, y, target_xy=target_xy)
+    return Dataset(d, e_raw, w, x, y)
 
 
 def _cell_law(spec: ScmSpec) -> np.ndarray:

@@ -9,7 +9,7 @@ from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError, ZeroDenominatorError
 from proxyshift.reduced import reduced_estimate
 from proxyshift.scm import (TARGET, Dataset, interventional_counts,
-                            sample_scm_spec, simulate_dataset,
+                            sample_scm_spec, simulate_counts, simulate_dataset,
                             target_conditional, true_effect)
 
 from conftest import nonidentified_spec
@@ -64,9 +64,9 @@ class TestNoAdjustment:
     def test_target_scope_estimates_target_conditional(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2),
                                np.random.default_rng(41))
-        ds = simulate_dataset(spec, 100_000, np.random.default_rng(42),
-                              benchmark_mode=True)
-        est = no_adjustment(ds, 0, 0, scope="target")
+        counts = simulate_counts(spec, 100_000, np.random.default_rng(42),
+                                 benchmark_mode=True)
+        est = no_adjustment(counts, 0, 0, scope="target")
         assert abs(est - target_conditional(spec, 0, 0)) < 0.02
 
 
@@ -104,9 +104,9 @@ class TestWAdjustment:
         spec = type(spec)(dims, spec.p_u_given_e, spec.q_u, identity,
                           spec.p_x_given_u, spec.p_y_given_uwx,
                           spec.domain_prior, strict_support=False)
-        ds = simulate_dataset(spec, 200_000, np.random.default_rng(44),
-                              benchmark_mode=True)
-        est = w_adjustment(ds, 0, 0, scope="target")
+        counts = simulate_counts(spec, 200_000, np.random.default_rng(44),
+                                 benchmark_mode=True)
+        est = w_adjustment(counts, 0, 0, scope="target")
         assert abs(est - true_effect(spec, 0, 0)) < 0.01
 
 
@@ -114,14 +114,13 @@ class TestDistributionProperties:
     def test_estimates_sum_to_one_over_outcomes(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 3, 2, 3),
                                np.random.default_rng(45))
-        ds = simulate_dataset(spec, 5000, np.random.default_rng(46),
-                              benchmark_mode=True)
+        counts = simulate_counts(spec, 5000, np.random.default_rng(46), benchmark_mode=True)
         for fn in (no_adjustment, w_adjustment):
             for scope in ("pooled", "target"):
-                total = sum(fn(ds, 0, y, scope) for y in range(3))
+                total = sum(fn(counts, 0, y, scope) for y in range(3))
                 assert total == pytest.approx(1.0, abs=1e-12)
-        counts = interventional_counts(spec, 0, 2000, np.random.default_rng(47))
-        assert sum(oracle_estimate(counts, y) for y in range(3)) == pytest.approx(1.0)
+        y_counts = interventional_counts(spec, 0, 2000, np.random.default_rng(47))
+        assert sum(oracle_estimate(y_counts, y) for y in range(3)) == pytest.approx(1.0)
 
     def test_confounded_spec_favors_adjusted_estimator(self):
         # median error of the naive conditional exceeds the plug-in

@@ -11,10 +11,9 @@ import proxyshift.reduced as reduced
 from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec, condition_number, numeric_row_rank
 from proxyshift.errors import BootstrapError, EmptyCellError, ProxyShiftError, ValidationError
-from proxyshift.reduced import (EtaVector, _cell_table, _evaluate, _h_raw,
-                                _merged_categories, _perturb_values, _proxy_matrix, _split_eta,
-                                bootstrap_ci, eta_from_counts, grad_h, h_of_eta,
-                                normal_quantile, reduced_estimate)
+from proxyshift.reduced import (EtaVector, _cell_table, _evaluate, _perturb_values,
+                                _proxy_matrix, _split_eta, bootstrap_ci, eta_from_counts,
+                                grad_h, h_of_eta, normal_quantile, reduced_estimate)
 from proxyshift.scm import (TARGET, ContingencyCounts, Dataset, population_views,
                             sample_scm_spec, simulate_dataset, true_effect)
 
@@ -190,7 +189,6 @@ class TestGradH:
         g_full = grad_h(eta)
 
         # re-evaluate with a half-size finite-difference step
-        from proxyshift.reduced import _h_raw
         base = eta.values.copy()
         g_half = np.empty_like(g_full)
         for i in range(base.size):
@@ -198,8 +196,8 @@ class TestGradH:
             hi, lo = base.copy(), base.copy()
             hi[i] += step
             lo[i] -= step
-            g_half[i] = (_h_raw(hi, eta.k_w, eta.k_e)
-                         - _h_raw(lo, eta.k_w, eta.k_e)) / (2 * step)
+            g_half[i] = (h_of_eta(EtaVector(hi, eta.k_w, eta.k_e))
+                         - h_of_eta(EtaVector(lo, eta.k_w, eta.k_e))) / (2 * step)
         denom = max(np.linalg.norm(g_half), 1e-12)
         assert np.linalg.norm(g_full - g_half) / denom < 1e-5
 
@@ -352,11 +350,12 @@ def assert_matches_complex_step(eta: EtaVector):
                                atol=1e-10 * np.abs(want).max())
 
 
-def reference_categories(table) -> tuple[np.ndarray, np.ndarray]:
-    """The cells merged by identical profile rows, through a dict keyed by
-    the row tuples, in lexicographic order of the rows."""
+def reference_categories(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(counts, profiles)`` cells of :func:`loop_cell_table` merged by
+    identical profile rows, through a dict keyed by the row tuples, in
+    lexicographic order of the rows."""
     merged: dict[tuple, int] = {}
-    for count, row in zip(table.counts, table.profiles):
+    for count, row in zip(*cells):
         merged[tuple(row)] = merged.get(tuple(row), 0) + int(count)
     rows = sorted(merged)
     return np.array([merged[r] for r in rows]), np.array(rows)
@@ -366,16 +365,14 @@ def reference_bootstrap(ds, x, y, n_boot, seed, alpha=0.05):
     """The bootstrap one resample at a time: keyed draws over the merged
     categories of :func:`reference_categories`, the cell check and rank
     repair per resample, one map call each."""
-    counts = ds
-    k_w, k_e = counts.n_yxwe.shape[2:]
-    table = _cell_table(counts, x, y, k_w, k_e)
-    category_counts, profiles = reference_categories(table)
-    probs = category_counts / table.n
+    k_w, k_e = ds.n_yxwe.shape[2:]
+    category_counts, profiles = reference_categories(loop_cell_table(ds, x, y, k_w, k_e))
+    probs = category_counts / ds.n
     base = int(np.random.default_rng(seed).integers(2 ** 62))
-    draws = np.array([np.random.default_rng([base, b]).multinomial(table.n, probs)
+    draws = np.array([np.random.default_rng([base, b]).multinomial(ds.n, probs)
                       for b in range(n_boot)])
     estimates, failures, perturbed = [], [], 0
-    for values in (draws / table.n) @ profiles:
+    for values in (draws / ds.n) @ profiles:
         parts = _split_eta(values, k_w, k_e)
         tol = reduced.RANK_REL_TOL
         if (parts.q_t > 0.0 and np.all(parts.p_xe > 0.0)
@@ -383,7 +380,7 @@ def reference_bootstrap(ds, x, y, n_boot, seed, alpha=0.05):
             values, tol = _perturb_values(values, k_w, k_e), reduced._PERTURBED_RANK_TOL
             perturbed += 1
         try:
-            estimates.append(_h_raw(values, k_w, k_e, tol))
+            estimates.append(h_of_eta(EtaVector(values, k_w, k_e), tol))
         except ProxyShiftError as exc:
             failures.append(type(exc))
     centre = reduced_estimate(ds, x, y).point_unclipped
@@ -500,7 +497,7 @@ class TestStackedMap:
         batch = np.stack([eta.values, eta.values * 0.5])
         ev = _evaluate(batch, 1, 3)
         assert not ev.errors
-        assert ev.h[0] == h_of_eta(eta) == _h_raw(batch[1], 1, 3)
+        assert ev.h[0] == h_of_eta(eta) == h_of_eta(EtaVector(batch[1], 1, 3))
         boot = bootstrap_ci(ds, 0, 0, 50, rng=1)
         assert boot.failed == 0 and boot.perturbed == 0
         assert boot.ci_lower <= boot.ci_upper
@@ -533,7 +530,7 @@ class TestStackedMap:
         assert not ev.perturbed.any() and np.array_equal(ev.values, values)
         for i, row in enumerate(values):
             try:
-                want = _h_raw(row, k_w, k_e, tols[i])
+                want = h_of_eta(EtaVector(row, k_w, k_e), tols[i])
             except ProxyShiftError as exc:
                 assert type(errors[i]) is type(exc)
                 assert str(errors[i]) == str(exc)
@@ -560,7 +557,7 @@ class TestStackedMap:
             assert ev.tol[i] == tol
             assert np.array_equal(ev.values[i], row)
             try:
-                want = _h_raw(row, k_w, k_e, tol)
+                want = h_of_eta(EtaVector(row, k_w, k_e), tol)
             except ProxyShiftError as exc:
                 assert type(ev.errors[i]) is type(exc)
                 assert str(ev.errors[i]) == str(exc)
@@ -568,20 +565,6 @@ class TestStackedMap:
             else:
                 assert i not in ev.errors
                 assert ev.h[i] == want
-
-    def test_cell_table_matches_cell_loop(self):
-        rng = np.random.default_rng(17)
-        for k_y, k_x, k_w, k_e in [(2, 2, 2, 2), (3, 2, 1, 3), (2, 3, 4, 2), (2, 2, 3, 5)]:
-            for _ in range(5):
-                t = rng.integers(0, 3, size=(k_y, k_x, k_w, k_e))
-                v = rng.integers(0, 3, size=k_w)
-                counts = ContingencyCounts(t, v)
-                x, y = int(rng.integers(k_x)), int(rng.integers(k_y))
-                table = _cell_table(counts, x, y, k_w, k_e)
-                want_counts, want_profiles = loop_cell_table(counts, x, y, k_w, k_e)
-                assert table.counts.dtype == want_counts.dtype
-                assert np.array_equal(table.counts, want_counts)
-                assert np.array_equal(table.profiles, want_profiles)
 
 
 def random_counts(rng, k_y, k_x, k_w, k_e, high=4) -> ContingencyCounts:
@@ -591,43 +574,56 @@ def random_counts(rng, k_y, k_x, k_w, k_e, high=4) -> ContingencyCounts:
 
 
 class TestMergedCategories:
-    """The bootstrap redraws cells merged by identical profile rows."""
+    """The cell table is the sample's profile categories: the cells merged
+    by identical profile rows, enumerated from the counts."""
+
+    @staticmethod
+    def check_categories(counts: ContingencyCounts, x: int, y: int):
+        """``_cell_table`` equals the cell loop merged by the reference,
+        bit for bit, and its statistic vector is the cells' mean profile."""
+        k_w, k_e = counts.n_yxwe.shape[2:]
+        table = _cell_table(counts, x, y, k_w, k_e)
+        cells = loop_cell_table(counts, x, y, k_w, k_e)
+        want_counts, want_profiles = reference_categories(cells)
+        assert table.counts.dtype == want_counts.dtype
+        assert np.array_equal(table.counts, want_counts)
+        assert np.array_equal(table.profiles, want_profiles)
+        assert table.n == counts.n == table.counts.sum()
+        np.testing.assert_allclose(table.eta.values, cells[1].T @ (cells[0] / counts.n),
+                                   rtol=1e-14, atol=1e-16)
+        return table
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 1, 3), (2, 3, 4, 2), (3, 3, 3, 5)])
     def test_merge_is_exact(self, dims):
         rng = np.random.default_rng(sum(dims))
         k_y, k_x, k_w, k_e = dims
-        for _ in range(10):
-            counts = random_counts(rng, *dims)
+        tables = [random_counts(rng, *dims) for _ in range(10)]
+        t, v = tables[0].n_yxwe, tables[0].n_w_target
+        untreated = t.copy()
+        untreated[:, 0] = 0
+        tables += [ContingencyCounts(t, np.zeros(k_w)),        # no target records
+                   ContingencyCounts(untreated, v),            # no treated records
+                   ContingencyCounts(untreated, np.zeros(k_w))]  # all records untreated
+        for counts in tables:
             if counts.n == 0:
                 continue
-            table = _cell_table(counts, int(rng.integers(k_x)), int(rng.integers(k_y)), k_w, k_e)
-            merged, profiles = _merged_categories(table)
-            self.check_merge(table, merged, profiles, k_w, k_e)
+            for x in range(k_x):
+                for y in range(k_y):
+                    self.check_categories(counts, x, y)
+
+    def test_empty_counts_are_refused(self):
+        empty = ContingencyCounts(np.zeros((2, 2, 3, 2), dtype=np.int64), np.zeros(3))
+        with pytest.raises(EmptyCellError, match="dataset is empty"):
+            _cell_table(empty, 0, 0, 3, 2)
 
     def test_coverage_wide_dims(self):
         spec = sample_scm_spec(CategorySpec(30, 2, 10, 2, 2), np.random.default_rng(3))
         ds = simulate_dataset(spec, 20_000, np.random.default_rng(4))
-        table = _cell_table(ds, 0, 0, 10, 30)
-        merged, profiles = _merged_categories(table)
-        self.check_merge(table, merged, profiles, 10, 30)
-        assert len(merged) < len(table.counts) / 1.5
-        assert not profiles[0].any()   # the untreated cells, first in order
-
-    @staticmethod
-    def check_merge(table, merged, profiles, k_w, k_e):
-        assert len({tuple(r) for r in profiles}) == len(profiles)
-        assert merged.sum() == table.n
-        assert len(merged) <= 2 * k_w * k_e + k_w + 1
-        p_cell, p_cat = table.counts / table.n, merged / table.n
-        np.testing.assert_allclose(p_cat @ profiles, p_cell @ table.profiles,
-                                   rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(profiles.T @ (p_cat[:, None] * profiles),
-                                   table.profiles.T @ (p_cell[:, None] * table.profiles),
-                                   rtol=1e-14, atol=1e-15)
-        want_counts, want_profiles = reference_categories(table)
-        assert np.array_equal(merged, want_counts)
-        assert np.array_equal(profiles, want_profiles)
+        table = self.check_categories(ds, 0, 0)
+        assert len(table.counts) <= 2 * 10 * 30 + 10 + 1
+        n_cells = np.count_nonzero(ds.n_yxwe) + np.count_nonzero(ds.n_w_target)
+        assert len(table.counts) < n_cells / 1.5
+        assert not table.profiles[0].any()   # the untreated records, first in order
 
 
 class TestBootstrapFailures:
@@ -680,12 +676,9 @@ def outcome(fn, *args, **kwargs) -> str:
 
 
 def shard(ds: Dataset, stop: int, start: int = 0) -> Dataset:
-    """Records ``start:stop`` of a benchmark-mode dataset, with their hidden
-    target columns."""
-    tgt = np.cumsum(np.concatenate([[0], ds.domain == TARGET]))
-    hidden = tuple(a[tgt[start]:tgt[stop]] for a in ds.target_xy)
+    """Records ``start:stop`` of a dataset."""
     return Dataset(ds.dims, ds.domain[start:stop], ds.w[start:stop],
-                   ds.x[start:stop], ds.y[start:stop], target_xy=hidden)
+                   ds.x[start:stop], ds.y[start:stop])
 
 
 def well_conditioned_draw(dims: CategorySpec, seed: int, max_kappa: float = 8.0):
@@ -705,14 +698,12 @@ class TestCountsCurrency:
            st.integers(20, 3000), st.floats(0.0, 1.0))
     def test_counts_add_across_shards(self, seed, dims, n, cut):
         spec = sample_scm_spec(CategorySpec(*dims), np.random.default_rng(seed))
-        ds = simulate_dataset(spec, n, np.random.default_rng(seed + 1), benchmark_mode=True)
+        ds = simulate_dataset(spec, n, np.random.default_rng(seed + 1))
         stop = int(cut * n)
         a, b = shard(ds, stop), shard(ds, n, stop)
-        merged = ContingencyCounts(a.n_yxwe + b.n_yxwe, a.n_w_target + b.n_w_target,
-                                   a.n_yxw_target + b.n_yxw_target)
+        merged = ContingencyCounts(a.n_yxwe + b.n_yxwe, a.n_w_target + b.n_w_target)
         calls = [(reduced_estimate, (), {}), (bootstrap_ci, (40,), {"rng": seed})]
-        calls += [(fn, (), {"scope": scope}) for fn in (no_adjustment, w_adjustment)
-                  for scope in ("pooled", "target")]
+        calls += [(fn, (), {"scope": "pooled"}) for fn in (no_adjustment, w_adjustment)]
         for fn, args, kw in calls:
             assert outcome(fn, merged, 0, 0, *args, **kw) == outcome(fn, ds, 0, 0, *args, **kw)
 

@@ -68,15 +68,14 @@ class TestDrawCategorical:
 
     def test_simulation_with_the_reference_sampler_is_unchanged(self, monkeypatch):
         spec = sample_scm_spec(CategorySpec(3, 3, 3, 2, 2), np.random.default_rng(23))
-        ours = simulate_dataset(spec, 5000, np.random.default_rng(24), benchmark_mode=True)
+        ours = simulate_dataset(spec, 5000, np.random.default_rng(24))
         degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
         monkeypatch.setattr(scm, "_draw_categorical", reference_draw_categorical)
-        ref = simulate_dataset(spec, 5000, np.random.default_rng(24), benchmark_mode=True)
+        ref = simulate_dataset(spec, 5000, np.random.default_rng(24))
         ref_degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
         for a, b in ((ours, ref), (degenerate, ref_degenerate)):
             for name in ("domain", "w", "x", "y"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert all(np.array_equal(a, b) for a, b in zip(ours.target_xy, ref.target_xy))
 
 
 class TestSampleScmSpec:
@@ -144,22 +143,16 @@ class TestSimulateDataset:
                         assert abs(freq - p) < 4 * se
 
     def test_benchmark_mode_keeps_hidden_columns(self):
+        # the hidden target cells come from benchmark-mode counts; a record
+        # dataset never carries them
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(4))
-        ds = simulate_dataset(spec, 500, np.random.default_rng(6), benchmark_mode=True)
-        tx, ty = ds.target_xy
-        assert tx.size == ds.n_tgt == ty.size
-        assert np.all((tx >= 0) & (tx < 2))
-        hidden = ds.n_yxw_target
+        counts = simulate_counts(spec, 500, np.random.default_rng(6), benchmark_mode=True)
+        hidden = counts.n_yxw_target
         assert hidden.shape == (2, 2, 2)
-        assert hidden.sum() == ds.n_tgt
-        assert np.array_equal(hidden.sum(axis=(0, 1)), ds.n_w_target)
-        pairs = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(pairs, (ty, tx), 1)
-        assert np.array_equal(hidden.sum(axis=2), pairs)
+        assert hidden.sum() == counts.n_tgt
+        assert np.array_equal(hidden.sum(axis=(0, 1)), counts.n_w_target)
         plain = simulate_dataset(spec, 500, np.random.default_rng(6))
-        assert plain.target_xy is None
         assert plain.n_yxw_target is None
-        assert np.array_equal(plain.w, ds.w)
         for fn in (no_adjustment, w_adjustment):
             with pytest.raises(ValidationError):
                 fn(plain, 0, 0, scope="target")
@@ -169,6 +162,12 @@ def full_table(counts: ContingencyCounts) -> np.ndarray:
     """The ``(k_y, k_x, k_w, k_e + 1)`` counts of benchmark-mode counts, the
     hidden target cells last, as :func:`scm._cell_law` orders them."""
     return np.concatenate([counts.n_yxwe, counts.n_yxw_target[..., None]], axis=3)
+
+
+def observed_table(full: np.ndarray) -> np.ndarray:
+    """A full table's source cells and its target column summed over the
+    hidden ``(y, x)``, flattened: what a record dataset's counts carry."""
+    return np.concatenate([full[..., :-1].ravel(), full[..., -1].sum(axis=(0, 1))])
 
 
 class TestSimulateCounts:
@@ -190,22 +189,26 @@ class TestSimulateCounts:
         assert law.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_mean_counts_agree_with_the_record_sampler(self):
-        # R datasets of n records from each sampler: every cell's mean count
-        # differs by less than 5 standard errors of the difference
+        # R datasets of n records from each sampler: every observed cell's
+        # mean count differs by less than 5 standard errors of the difference
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 3), np.random.default_rng(7))
         reps, n = 400, 1000
         rng_counts, rng_records = np.random.default_rng(70), np.random.default_rng(71)
-        drawn = np.array([full_table(simulate_counts(spec, n, rng_counts, True))
-                          for _ in range(reps)])
-        recorded = np.array([full_table(simulate_dataset(spec, n, rng_records, True))
-                             for _ in range(reps)])
+        full = np.array([full_table(simulate_counts(spec, n, rng_counts, True))
+                         for _ in range(reps)])
+        drawn = np.array([observed_table(t) for t in full])
+        recorded = np.array([np.concatenate([ds.n_yxwe.ravel(), ds.n_w_target]) for ds in
+                             (simulate_dataset(spec, n, rng_records) for _ in range(reps))])
         se = np.sqrt((drawn.var(axis=0, ddof=1) + recorded.var(axis=0, ddof=1)) / reps)
         diff = np.abs(drawn.mean(axis=0) - recorded.mean(axis=0))
         assert np.all(diff <= 5 * se)
-        # and both agree with the exact expectation
-        expected = n * scm._cell_law(spec)
+        # both agree with the exact expectation, and so do the hidden target
+        # cells, each a binomial(n, p) count
+        law = scm._cell_law(spec)
         for table in (drawn, recorded):
-            assert np.all(np.abs(table.mean(axis=0) - expected) <= 5 * se)
+            assert np.all(np.abs(table.mean(axis=0) - observed_table(n * law)) <= 5 * se)
+        se_full = np.sqrt(n * law * (1 - law) / reps)
+        assert np.all(np.abs(full.mean(axis=0) - n * law) <= 5 * se_full)
 
     def test_benchmark_mode_only_keeps_the_hidden_table(self):
         spec = sample_scm_spec(CategorySpec(3, 2, 3, 2, 2), np.random.default_rng(4))
@@ -299,10 +302,6 @@ class TestDatasetInvariants:
         assert ContingencyCounts(t, np.full(3, 4), hidden).n_tgt == 12
         with pytest.raises(ValidationError):
             ContingencyCounts(t, np.full(3, 5), hidden)
-        with pytest.raises(ValidationError):
-            Dataset(CategorySpec(1, 1, 2, 2, 2), np.array([TARGET]), np.array([0]),
-                    np.array([MISSING]), np.array([MISSING]),
-                    target_xy=(np.array([2]), np.array([0])))
 
 
 class TestTrueEffect:
