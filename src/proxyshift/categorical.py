@@ -45,17 +45,17 @@ def validate_stochastic(matrix, tol: float = COLUMN_SUM_TOL,
         bad = np.argwhere(m <= 0.0)
         if bad.size:
             i, j = bad[0]
-            return f"entry ({i}, {j}) is {m[i, j]!r}, must be strictly positive"
+            return f"entry ({i}, {j}) is {float(m[i, j])!r}, must be strictly positive"
     else:
         bad = np.argwhere(m < 0.0)
         if bad.size:
             i, j = bad[0]
-            return f"entry ({i}, {j}) is {m[i, j]!r}, must be non-negative"
+            return f"entry ({i}, {j}) is {float(m[i, j])!r}, must be non-negative"
     sums = m.sum(axis=0)
     off = np.abs(sums - 1.0) > tol
     if off.any():
         j = int(np.argmax(off))
-        return f"column {j} sums to {sums[j]!r}, expected 1 within {tol}"
+        return f"column {j} sums to {float(sums[j])!r}, expected 1 within {tol}"
     return None
 
 

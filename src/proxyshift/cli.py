@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (ProxyShiftError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ProxyShiftError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"proxyshift: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

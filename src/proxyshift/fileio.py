@@ -12,6 +12,17 @@ the record arrays of a simulated :class:`~proxyshift.scm.Dataset`, whose
 target rows carry no treatment or outcome, and :func:`load_dataset` reads a
 file straight into its :class:`~proxyshift.scm.ContingencyCounts`, the only
 input the estimators take.
+
+:func:`load_dataset` reads the file as bytes of UTF-8 text and accepts
+``\\n``, ``\\r\\n`` and ``\\r`` line ends (and the other breaks of
+``str.splitlines``).  It counts the lines before parsing any: a line of at
+most 8 bytes becomes one exact 64-bit integer key, so a file of short lines
+is counted in NumPy without a string per line; longer lines are counted as
+strings.  Spaces and tabs that only pad fields are dropped first, so a
+padded line counts as the short line it parses as.  Each distinct line is
+then parsed once.  A path that cannot be read, such as a missing file or a
+directory, raises :class:`OSError`, which the CLI reports as a data error
+(exit 2), as it does every :class:`~proxyshift.errors.DatasetFormatError`.
 """
 
 from __future__ import annotations
@@ -33,17 +44,23 @@ DATASET_HEADER = "domain,w,x,y"
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+    """Write a file atomically: temp file in the same directory, then rename.
+
+    An :class:`OSError` names ``path``, not the temp file.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_json(path, obj) -> None:
@@ -143,7 +160,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def _parse_line(line: str, dims: CategorySpec) -> tuple[int, int, int | None, int | None]:
     """One non-blank data line as 0-based ``(domain, w, x, y)``, with ``None``
-    for the domain, x and y of a target row."""
+    for the domain, x and y of a target row.  A lone surrogate in ``line``
+    stands for a byte that is not UTF-8."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        raise DatasetFormatError("not UTF-8 text") from None
     cells = line.split(",")
     if len(cells) != 4:
         raise DatasetFormatError(f"expected 4 fields, got {len(cells)}")
@@ -177,36 +199,136 @@ def _parse_line(line: str, dims: CategorySpec) -> tuple[int, int, int | None, in
     return dom, wi, xi, yi
 
 
+def _line_key(line: bytes) -> int:
+    """The integer key of a line of at most 8 bytes: the little-endian word of
+    its bytes with the missing low bytes set to ``\\n``, which no line holds."""
+    return int.from_bytes(b"\n" * (8 - len(line)) + line, "little")
+
+
+# The bytes that end a line when a file is read in text mode (universal
+# newlines) and split with ``str.splitlines``, UTF-8 encoded; each becomes
+# ``\n`` before lines are cut.  ``\r\n`` precedes ``\r`` so it stays one break.
+_LINE_BREAKS = (b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                "\x85".encode(), "\u2028".encode(), "\u2029".encode())
+# Per line length l <= 8: the mask of the top l bytes of a 64-bit word, and
+# the ``\n`` bytes below them, as in ``_line_key``.
+_KEEP = np.array([2 ** 64 - 2 ** (64 - 8 * l) for l in range(9)], dtype=np.uint64)
+_FILL = np.array([int.from_bytes(b"\n" * (8 - l), "little") for l in range(9)],
+                 dtype=np.uint64)
+
+
 def load_dataset(path, dims: CategorySpec) -> ContingencyCounts:
     """Parse a dataset CSV against declared dimensions into its counts.
 
-    A categorical file repeats a few distinct lines, so each distinct line is
-    parsed once and its count added to its cell.  Errors name the first
-    offending 1-based line: malformed rows, target rows carrying x/y, source
-    rows missing them, and out-of-range indices.
+    A categorical file repeats a few distinct lines, so the lines are counted
+    first (see the module docstring) and each distinct line is parsed once by
+    :func:`_parse_line`.  Blank lines are skipped and spaces around fields
+    ignored.  Errors name the first offending 1-based line: malformed rows,
+    target rows carrying x/y, source rows missing them, out-of-range indices
+    and bytes that are not UTF-8.
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != DATASET_HEADER:
-        raise DatasetFormatError(
-            f"line 1: expected header {DATASET_HEADER!r}, got {lines[0].strip()!r}"
-            if lines else "empty dataset file")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    for brk in _LINE_BREAKS:
+        if brk[:1] in data and brk in data:
+            data = data.replace(brk, b"\n")
+    if not data:
+        raise DatasetFormatError("empty dataset file")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    body = data.find(b"\n") + 1
+    header = data[:body - 1].decode(errors="replace").strip()
+    if header != DATASET_HEADER:
+        raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}, got {header!r}")
+    data = _drop_field_padding(data, body)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    # Lengths of lines 2, 3, ...; a valid header is at least 12 bytes, so
+    # every data line ends at least 8 bytes into the file.
+    lengths = np.diff(ends) - 1
+    short = lengths <= 8
+    n_bytes = lengths[short]
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=data, strides=(1,))
+    keys = words[ends[1:][short] - 8]
+    keys &= _KEEP[n_bytes]
+    keys |= _FILL[n_bytes]
+    ordered = np.sort(keys)
+    new = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    # Distinct lines as text, each byte that is not UTF-8 kept as a lone
+    # surrogate for _parse_line to refuse; long lines follow in file order.
+    lines = Counter()
+    for key, count in zip(ordered[first].tolist(), np.diff(first, append=ordered.size).tolist()):
+        lines[key.to_bytes(8, "little").lstrip(b"\n").decode(errors="surrogateescape")] = count
+    if not short.all():
+        text = buf[ends[0] + 1:]
+        if short.any():
+            text = text[np.repeat(~short, lengths + 1)]
+        lines.update(str(text, "utf-8", "surrogateescape").split("\n"))
     n_yxwe = np.zeros((dims.k_y, dims.k_x, dims.k_w, dims.k_e), dtype=np.int64)
     n_w_target = np.zeros(dims.k_w, dtype=np.int64)
-    # A Counter keeps its keys in order of first appearance, so the first bad
-    # distinct line is the first bad line of the file.
-    for line, count in Counter(lines[1:]).items():
+    errors = {}
+    for line, count in lines.items():
         if not line.strip():
             continue
         try:
             dom, w, x, y = _parse_line(line, dims)
         except DatasetFormatError as exc:
-            raise DatasetFormatError(f"line {lines.index(line, 1) + 1}: {exc}") from None
+            errors[line] = exc
+            continue
         if dom is None:
             n_w_target[w] += count
         else:
             n_yxwe[y, x, w, dom] += count
+    if errors:
+        number, line = _first_bad_line(data, errors, keys, short)
+        raise DatasetFormatError(f"line {number}: {errors[line]}")
     return ContingencyCounts(n_yxwe, n_w_target)
+
+
+def _drop_field_padding(data: bytes, body: int) -> bytes:
+    """``data`` without the spaces and tabs from byte ``body`` on, when each
+    of them pads a field rather than splitting one.
+
+    ``_parse_line`` strips every field, so the padding changes neither a
+    line's fields nor its error, and a padded line is counted as the short
+    line it parses as.  A space or tab between two field bytes splits a
+    field, whose line is bad, and joins two runs of field bytes into one;
+    then ``data`` is returned as it is.
+    """
+    if data.find(b" ", body) < 0 and data.find(b"\t", body) < 0:
+        return data
+    stripped = data[:body] + data[body:].translate(None, b" \t")
+    return stripped if _field_runs(stripped, body) == _field_runs(data, body) else data
+
+
+def _field_runs(data: bytes, body: int) -> int:
+    """The number of runs of bytes other than space, tab, comma and newline
+    from byte ``body`` on, which follows a newline."""
+    text = np.frombuffer(data, dtype=np.uint8, offset=body)
+    field = (text != 32) & (text != 9) & (text != 44) & (text != 10)
+    return int(field[:1].sum()) + np.count_nonzero(field[1:] & ~field[:-1])
+
+
+def _first_bad_line(data: bytes, bad, keys: np.ndarray, short: np.ndarray) -> tuple[int, str]:
+    """The 1-based number and text of the first line of ``data`` in ``bad``.
+
+    ``keys`` are the short lines' keys in file order and ``short`` marks them
+    among the data lines.  ``bad`` lists the long lines in file order.
+    """
+    found = []
+    raw = {line: line.encode(errors="surrogateescape") for line in bad}
+    short_bad = {_line_key(raw[line]): line for line in bad if len(raw[line]) <= 8}
+    if short_bad:
+        at = np.flatnonzero(np.isin(keys, np.array(list(short_bad), dtype=np.uint64)))[0]
+        found.append((int(np.flatnonzero(short)[at]) + 2, short_bad[int(keys[at])]))
+    line = next((line for line in bad if len(raw[line]) > 8), None)
+    if line is not None:
+        # Every data line follows a newline, and ``data`` ends in one.
+        start = data.find(b"\n" + raw[line] + b"\n") + 1
+        found.append((data.count(b"\n", 0, start) + 1, line))
+    return min(found)
 
 
 def _columns(matrix: np.ndarray) -> list[list[float]]:

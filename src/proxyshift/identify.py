@@ -198,7 +198,7 @@ def discretize_proxy(values, partition: Partition) -> np.ndarray:
     outside = (v < partition.lower) | (v > partition.upper) | ~np.isfinite(v)
     if outside.any():
         bad = v[outside][0]
-        raise OutOfSupportError(f"value {bad!r} is outside the declared proxy support")
+        raise OutOfSupportError(f"value {float(bad)!r} is outside the declared proxy support")
     return np.searchsorted(np.asarray(partition.edges), v, side="left") + 1
 
 

@@ -44,6 +44,14 @@ class TestValidateStochastic:
         report = validate_stochastic(np.array([[-0.1, 0.5], [1.1, 0.5]]))
         assert "non-negative" in report
 
+    def test_reports_print_plain_floats(self):
+        assert (validate_stochastic(np.array([[-0.1, 0.5], [1.1, 0.5]]))
+                == "entry (0, 0) is -0.1, must be non-negative")
+        assert (validate_stochastic(np.eye(2), strict_positive=True)
+                == "entry (0, 1) is 0.0, must be strictly positive")
+        assert validate_stochastic(np.array([[0.5], [0.6]]), tol=0.01).startswith(
+            "column 0 sums to 1.1, expected")
+
 
 class TestTypes:
     def test_category_spec_rejects_zero(self):

@@ -108,6 +108,28 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    @pytest.mark.parametrize("command", ["estimate", "identify"])
+    def test_directory_input_is_data_error(self, tmp_path, command):
+        dims = tmp_path / "dims.json"
+        dims.write_text('{"k_e": 1, "k_u": 1, "k_w": 1, "k_x": 1, "k_y": 1}')
+        source = (["--data", str(tmp_path), "--dims", str(dims)] if command == "estimate"
+                  else ["--model", str(tmp_path)])
+        res = run_cli(command, *source, "--x", "1", "--y", "1")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("proxyshift: error:") and str(tmp_path) in res.stderr
+
+    def test_out_in_missing_directory_names_the_given_path(self, tmp_path):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        out = tmp_path / "missing" / "o.json"
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--out", str(out))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("proxyshift: error:")
+        assert res.stderr.rstrip().endswith(f"'{out}'")
+        assert not (tmp_path / "missing").exists()
+
     def test_bad_xy_is_refused_before_the_data_is_read(self, tmp_path):
         dims = tmp_path / "dims.json"
         dims.write_text('{"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2}')

@@ -1,9 +1,11 @@
 """Dataset/model file round-trips and schema errors."""
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import DatasetFormatError, ValidationError
-from proxyshift.fileio import (load_dataset, load_dims, load_model,
-                               save_dataset, save_dims, save_model)
-from proxyshift.scm import (TARGET, sample_scm_spec, simulate_dataset,
-                            true_effect)
+from proxyshift.fileio import (DATASET_HEADER, _parse_line, load_dataset, load_dims,
+                               load_model, save_dataset, save_dims, save_model)
+from proxyshift.scm import (TARGET, ContingencyCounts, sample_scm_spec,
+                            simulate_dataset, true_effect)
 
 from conftest import nonidentified_spec
 
@@ -121,7 +123,7 @@ def _reference_csv(ds) -> str:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 300), st.integers(0, 2 ** 31))
 def test_save_load_round_trip_property(k_e, k_w, k_x, k_y, n, seed):
     dims = CategorySpec(k_e=k_e, k_u=2, k_w=k_w, k_x=k_x, k_y=k_y)
@@ -134,6 +136,149 @@ def test_save_load_round_trip_property(k_e, k_w, k_x, k_y, n, seed):
         loaded = load_dataset(path, dims)
     assert np.array_equal(loaded.n_yxwe, ds.n_yxwe)
     assert np.array_equal(loaded.n_w_target, ds.n_w_target)
+
+
+def _reference_load(path, dims) -> ContingencyCounts:
+    """The text-mode ``splitlines`` + ``Counter`` loader that ``load_dataset``'s
+    integer-keyed count replaces."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines or lines[0].strip() != DATASET_HEADER:
+        raise DatasetFormatError(
+            f"line 1: expected header {DATASET_HEADER!r}, got {lines[0].strip()!r}"
+            if lines else "empty dataset file")
+    n_yxwe = np.zeros((dims.k_y, dims.k_x, dims.k_w, dims.k_e), dtype=np.int64)
+    n_w_target = np.zeros(dims.k_w, dtype=np.int64)
+    for line, count in Counter(lines[1:]).items():
+        if not line.strip():
+            continue
+        try:
+            dom, w, x, y = _parse_line(line, dims)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"line {lines.index(line, 1) + 1}: {exc}") from None
+        if dom is None:
+            n_w_target[w] += count
+        else:
+            n_yxwe[y, x, w, dom] += count
+    return ContingencyCounts(n_yxwe, n_w_target)
+
+
+def _load_or_error(load, path, dims):
+    try:
+        counts = load(path, dims)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return counts.n_yxwe.tolist(), counts.n_w_target.tolist(), counts.n_yxwe.dtype
+
+
+@st.composite
+def messy_files(draw):
+    """A dataset file as a person might write it: spaces around fields, mixed
+    line ends, blank lines, maybe no final newline, and now and then a bad row."""
+    k_e, k_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k_x, k_y = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = CategorySpec(k_e=k_e, k_u=2, k_w=k_w, k_x=k_x, k_y=k_y)
+    source = st.tuples(st.integers(1, k_e), st.integers(1, k_w), st.integers(1, k_x),
+                       st.integers(1, k_y))
+    target = st.tuples(st.just("T"), st.integers(1, k_w), st.just(""), st.just(""))
+    bad = st.sampled_from([("T", 1, 1, ""), (1, k_w + 1, 1, 1), (k_e + 1, 1, 1, 1),
+                           (1, 1, "", 1), ("x", 1, 1, 1), (1, 1, 1), ("1 1", 1, 1, 1),
+                           (1, 1, "1\t1", 1), ("T 1", 1, "", "")])
+    rows = draw(st.lists(st.one_of(source, source, target), max_size=40))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bad))
+    pad = st.sampled_from(["", "", "", " ", "  ", "\t", "    "])
+    blank = st.sampled_from(["", " ", "\t ", "      "])
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    text = DATASET_HEADER + draw(end)
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            text += draw(blank) + draw(end)
+        text += ",".join(draw(pad) + str(f) + draw(pad) for f in row) + draw(end)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return dims, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_files())
+def test_load_matches_reference_loader_property(file):
+    dims, text = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode())
+        assert _load_or_error(load_dataset, path, dims) == _load_or_error(
+            _reference_load, path, dims)
+
+
+class TestLoadErrorPaths:
+    @pytest.mark.parametrize("bad, message", [
+        ("1,3,1,1", "w index 3 out of range 1..2"),
+        (" 1 , 3 , 1 , 1 ", "w index 3 out of range 1..2"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_bad_line_among_many_is_named(self, tmp_path, dims, bad, message, seed):
+        rng = np.random.default_rng(seed)
+        good = np.array(["1,2,1,1", "2,1,2,2", "T,2,,", " 2 , 2 , 1 , 2 ", "T , 1 , , "])
+        lines = list(good[rng.integers(0, good.size, 10_000)])
+        at = int(rng.integers(0, len(lines) + 1))
+        lines.insert(at, bad)
+        path = tmp_path / "d.csv"
+        path.write_text("domain,w,x,y\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^line {at + 2}: {message}$"):
+            load_dataset(path, dims)
+
+    def test_bad_line_repeated_later_is_named_at_its_first_line(self, tmp_path, dims):
+        path = tmp_path / "d.csv"
+        path.write_text("domain,w,x,y\n" + "1,1,1,1\n" * 5 + "1,1,1,9\n"
+                        + "1 , 1 , 1 , 9\n" + "1,1,1,9\n" * 3)
+        with pytest.raises(DatasetFormatError, match="^line 7: y index 9 out of range 1..2$"):
+            load_dataset(path, dims)
+
+    @pytest.mark.parametrize("bad, message", [
+        (" 1 , 1 2 , 1 , 1", "bad w index '1 2'"),
+        ("1\t1,1,1,1", r"bad domain '1\t1'"),
+        (" T 2 , 1 , , ", "bad domain 'T 2'"),
+    ])
+    def test_space_inside_a_field_is_reported_as_it_stands(self, tmp_path, dims, bad,
+                                                           message):
+        path = tmp_path / "d.csv"
+        path.write_text("domain,w,x,y\n" + " 1 , 2 , 1 , 1\n" * 3 + bad + "\n"
+                        + "T , 2 , , \n" * 2)
+        assert _load_or_error(_reference_load, path, dims) == f"line 5: {message}"
+        with pytest.raises(DatasetFormatError, match=f"^line 5: {re.escape(message)}$"):
+            load_dataset(path, dims)
+
+    def test_nul_bytes_do_not_alias_a_shorter_line(self, tmp_path, dims):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"domain,w,x,y\n1,1,1,1\n\x001,1,1,1\n1,1,1,1\n")
+        with pytest.raises(DatasetFormatError, match="^line 3: bad domain "):
+            load_dataset(path, dims)
+
+    def test_other_line_breaks_of_splitlines_count_alike(self, tmp_path, dims):
+        path = tmp_path / "d.csv"
+        path.write_text("domain,w,x,y\x0c1,2,1,1\u20282,1,2,2\x1eT,2,,\x85 1 , 2 , 1 , 1\n",
+                        encoding="utf-8")
+        want = _reference_load(path, dims)
+        got = load_dataset(path, dims)
+        assert want.n == 4
+        assert np.array_equal(got.n_yxwe, want.n_yxwe)
+        assert np.array_equal(got.n_w_target, want.n_w_target)
+
+    @pytest.mark.parametrize("line", [b"1,\xff,1,1", b" 1 , 2 , \xc3 , 1"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, dims, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"domain,w,x,y\n1,1,1,1\n" + line + b"\n1,1,1,1\n")
+        with pytest.raises(DatasetFormatError, match="^line 3: not UTF-8 text$"):
+            load_dataset(path, dims)
+        dims_path = tmp_path / "dims.json"
+        save_dims(dims, dims_path)
+        res = subprocess.run([sys.executable, "-m", "proxyshift", "estimate", "--data",
+                              str(path), "--dims", str(dims_path), "--x", "1", "--y", "1"],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("proxyshift: error: line 3: not UTF-8 text")
 
 
 class TestDimsFiles:

@@ -239,6 +239,13 @@ class TestDiscretize:
         with pytest.raises(OutOfSupportError):
             discretize_proxy([0.2, 1.5], part)
 
+    def test_out_of_support_message_prints_a_plain_float(self):
+        part = Partition((0.5,), lower=0.0, upper=1.0)
+        for value, shown in ((np.nan, "nan"), (1.5, "1.5")):
+            with pytest.raises(OutOfSupportError, match=(
+                    rf"^value {shown} is outside the declared proxy support$")):
+                discretize_proxy(np.array([0.2, value]), part)
+
     def test_right_closed_boundaries(self):
         part = Partition((75.0, 125.0))
         np.testing.assert_array_equal(
