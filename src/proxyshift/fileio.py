@@ -17,11 +17,10 @@ input the estimators take.
 ``\\n``, ``\\r\\n`` and ``\\r`` line ends (and the other breaks of
 ``str.splitlines``).  It counts the lines before parsing any: a line of at
 most 8 bytes becomes one exact 64-bit integer key, so a file of short lines
-is counted in NumPy without a string per line; longer lines are counted as
-strings.  Spaces and tabs that only pad fields are dropped first, so a
-padded line counts as the short line it parses as.  Each distinct line is
-then parsed once.  A path that cannot be read, such as a missing file or a
-directory, raises :class:`OSError`, which the CLI reports as a data error
+is counted in NumPy without a string per line; longer lines, padded ones
+among them, are counted as strings.  Each distinct line is then parsed
+once.  A path that cannot be read, such as a missing file or a directory,
+raises :class:`OSError`, which the CLI reports as a data error
 (exit 2), as it does every :class:`~proxyshift.errors.DatasetFormatError`.
 """
 
@@ -199,19 +198,14 @@ def _parse_line(line: str, dims: CategorySpec) -> tuple[int, int, int | None, in
     return dom, wi, xi, yi
 
 
-def _line_key(line: bytes) -> int:
-    """The integer key of a line of at most 8 bytes: the little-endian word of
-    its bytes with the missing low bytes set to ``\\n``, which no line holds."""
-    return int.from_bytes(b"\n" * (8 - len(line)) + line, "little")
-
-
 # The bytes that end a line when a file is read in text mode (universal
 # newlines) and split with ``str.splitlines``, UTF-8 encoded; each becomes
 # ``\n`` before lines are cut.  ``\r\n`` precedes ``\r`` so it stays one break.
 _LINE_BREAKS = (b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
                 "\x85".encode(), "\u2028".encode(), "\u2029".encode())
 # Per line length l <= 8: the mask of the top l bytes of a 64-bit word, and
-# the ``\n`` bytes below them, as in ``_line_key``.
+# the ``\n`` bytes below them.  No line holds a ``\n``, so the little-endian
+# word that ends at a line's newline, masked and filled, keys it exactly.
 _KEEP = np.array([2 ** 64 - 2 ** (64 - 8 * l) for l in range(9)], dtype=np.uint64)
 _FILL = np.array([int.from_bytes(b"\n" * (8 - l), "little") for l in range(9)],
                  dtype=np.uint64)
@@ -240,7 +234,6 @@ def load_dataset(path, dims: CategorySpec) -> ContingencyCounts:
     header = data[:body - 1].decode(errors="replace").strip()
     if header != DATASET_HEADER:
         raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}, got {header!r}")
-    data = _drop_field_padding(data, body)
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == 10)
     # Lengths of lines 2, 3, ...; a valid header is at least 12 bytes, so
@@ -257,7 +250,7 @@ def load_dataset(path, dims: CategorySpec) -> ContingencyCounts:
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     first = np.flatnonzero(new)
     # Distinct lines as text, each byte that is not UTF-8 kept as a lone
-    # surrogate for _parse_line to refuse; long lines follow in file order.
+    # surrogate for _parse_line to refuse.
     lines = Counter()
     for key, count in zip(ordered[first].tolist(), np.diff(first, append=ordered.size).tolist()):
         lines[key.to_bytes(8, "little").lstrip(b"\n").decode(errors="surrogateescape")] = count
@@ -282,53 +275,10 @@ def load_dataset(path, dims: CategorySpec) -> ContingencyCounts:
         else:
             n_yxwe[y, x, w, dom] += count
     if errors:
-        number, line = _first_bad_line(data, errors, keys, short)
+        text = data.decode(errors="surrogateescape").split("\n")
+        number, line = next((i, line) for i, line in enumerate(text[1:], 2) if line in errors)
         raise DatasetFormatError(f"line {number}: {errors[line]}")
     return ContingencyCounts(n_yxwe, n_w_target)
-
-
-def _drop_field_padding(data: bytes, body: int) -> bytes:
-    """``data`` without the spaces and tabs from byte ``body`` on, when each
-    of them pads a field rather than splitting one.
-
-    ``_parse_line`` strips every field, so the padding changes neither a
-    line's fields nor its error, and a padded line is counted as the short
-    line it parses as.  A space or tab between two field bytes splits a
-    field, whose line is bad, and joins two runs of field bytes into one;
-    then ``data`` is returned as it is.
-    """
-    if data.find(b" ", body) < 0 and data.find(b"\t", body) < 0:
-        return data
-    stripped = data[:body] + data[body:].translate(None, b" \t")
-    return stripped if _field_runs(stripped, body) == _field_runs(data, body) else data
-
-
-def _field_runs(data: bytes, body: int) -> int:
-    """The number of runs of bytes other than space, tab, comma and newline
-    from byte ``body`` on, which follows a newline."""
-    text = np.frombuffer(data, dtype=np.uint8, offset=body)
-    field = (text != 32) & (text != 9) & (text != 44) & (text != 10)
-    return int(field[:1].sum()) + np.count_nonzero(field[1:] & ~field[:-1])
-
-
-def _first_bad_line(data: bytes, bad, keys: np.ndarray, short: np.ndarray) -> tuple[int, str]:
-    """The 1-based number and text of the first line of ``data`` in ``bad``.
-
-    ``keys`` are the short lines' keys in file order and ``short`` marks them
-    among the data lines.  ``bad`` lists the long lines in file order.
-    """
-    found = []
-    raw = {line: line.encode(errors="surrogateescape") for line in bad}
-    short_bad = {_line_key(raw[line]): line for line in bad if len(raw[line]) <= 8}
-    if short_bad:
-        at = np.flatnonzero(np.isin(keys, np.array(list(short_bad), dtype=np.uint64)))[0]
-        found.append((int(np.flatnonzero(short)[at]) + 2, short_bad[int(keys[at])]))
-    line = next((line for line in bad if len(raw[line]) > 8), None)
-    if line is not None:
-        # Every data line follows a newline, and ``data`` ends in one.
-        start = data.find(b"\n" + raw[line] + b"\n") + 1
-        found.append((data.count(b"\n", 0, start) + 1, line))
-    return min(found)
 
 
 def _columns(matrix: np.ndarray) -> list[list[float]]:
