@@ -32,6 +32,7 @@ from .identify import (Partition, ProxyMapping, causal_decomposition_effect,
 from .reduced import (BootstrapCI, EffectEstimate, EstimateFlags, EtaVector,
                       bootstrap_ci, eta_from_counts, grad_h, h_of_eta,
                       normal_quantile, reduced_estimate)
-from .scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
-                  population_views, sample_scm_spec, simulate_counts,
-                  simulate_dataset, target_conditional, true_effect)
+from .scm import (MISSING, TARGET, ContingencyCounts, Records, ScmSpec,
+                  count_records, population_views, sample_scm_spec,
+                  simulate_counts, simulate_dataset, simulate_records,
+                  target_conditional, true_effect)

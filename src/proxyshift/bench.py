@@ -89,6 +89,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if min(self.n_models, self.n_datasets, self.n_samples) < 1:
             raise ValidationError("n_models, n_datasets, n_samples must be >= 1")
+        for name, k in (("x", self.dims.k_x), ("y", self.dims.k_y)):
+            if not 0 <= getattr(self, name) < k:
+                raise ValidationError(f"{name} must be in 0..{k - 1}, got {getattr(self, name)}")
+        if min(self.n_sweep or (1,)) < 1:
+            raise ValidationError(f"n_sweep entries must be >= 1, got {list(self.n_sweep)}")
+        for name, low in (("bootstrap_b", 2), ("repetitions", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.confound_threshold < 0:
             raise ValidationError("confound_threshold must be non-negative")
         check_alpha(self.alpha)

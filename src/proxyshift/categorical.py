@@ -83,7 +83,8 @@ class CategorySpec:
         for axis in ("e", "u", "w", "x", "y"):
             k = getattr(self, f"k_{axis}")
             if not isinstance(k, (int, np.integer)) or k < 1:
-                raise ValidationError(f"k_{axis} must be a positive integer, got {k!r}")
+                shown = k.item() if isinstance(k, np.generic) else k
+                raise ValidationError(f"k_{axis} must be a positive integer, got {shown!r}")
             labels = getattr(self, f"labels_{axis}")
             if labels is not None:
                 labels = tuple(labels)

@@ -30,7 +30,7 @@ from .fileio import (_check_keys, _check_types, atomic_write_text, dims_from_dic
                      save_model, write_json, write_records_csv)
 from .identify import Partition, discretize_proxy, identify_effect, reduce_proxy
 from .reduced import bootstrap_ci, reduced_estimate
-from .scm import population_views, sample_scm_spec, simulate_dataset
+from .scm import population_views, sample_scm_spec, simulate_records
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -145,13 +145,13 @@ def _cmd_simulate(args) -> int:
     dims = _dims_from_args(args)
     rng = np.random.default_rng(args.seed)
     spec = sample_scm_spec(dims, rng)
-    ds = simulate_dataset(spec, args.n, rng)
+    records = simulate_records(spec, args.n, rng)
     wrote = False
     if args.out_model:
         save_model(spec, args.out_model)
         wrote = True
     if args.out_data:
-        save_dataset(ds, args.out_data)
+        save_dataset(records, args.out_data)
         wrote = True
     if args.out_dims:
         save_dims(dims, args.out_dims)

@@ -1,6 +1,6 @@
 """File schemas: dataset CSV, dimension sidecar, model JSON, results output.
 
-All category indices are 1-based in files and 0-based in memory.  Dataset
+All category indices are 1-based in files and 0-based in memory.  CSV
 rows use the literal ``T`` as the domain of target records, whose ``x`` and
 ``y`` fields must be empty.  Dimensions travel in a sidecar (or explicit
 flags) rather than being inferred from data, so categories that happen to be
@@ -8,10 +8,11 @@ unobserved remain representable.  Every write is atomic
 (write-temp-then-rename) and numbers round-trip at full precision.
 
 Records exist only on the CLI ``simulate`` path: :func:`save_dataset` writes
-the record arrays of a simulated :class:`~proxyshift.scm.Dataset`, whose
-target rows carry no treatment or outcome, and :func:`load_dataset` reads a
-file straight into its :class:`~proxyshift.scm.ContingencyCounts`, the only
-input the estimators take.
+the :class:`~proxyshift.scm.Records` that
+:func:`~proxyshift.scm.simulate_records` draws, whose target rows carry no
+treatment or outcome, and :func:`load_dataset` reads a file straight into
+its :class:`~proxyshift.scm.ContingencyCounts`, the only input the
+estimators take.
 
 :func:`load_dataset` reads the file as bytes of UTF-8 text and accepts
 ``\\n``, ``\\r\\n`` and ``\\r`` line ends (and the other breaks of
@@ -37,7 +38,7 @@ import numpy as np
 
 from .categorical import CategorySpec
 from .errors import DatasetFormatError
-from .scm import ContingencyCounts, Dataset, ScmSpec, record_key
+from .scm import ContingencyCounts, Records, ScmSpec, record_key
 
 DATASET_HEADER = "domain,w,x,y"
 
@@ -139,22 +140,22 @@ def load_dims(path) -> CategorySpec:
         return dims_from_dict(json.load(handle))
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def save_dataset(records: Records, path) -> None:
     """Write records as CSV; target rows carry empty x/y fields.
 
     Every record is one of the few lines that its cell determines, so the
     lines are formatted once per cell of :func:`scm.record_key`'s table and
-    looked up per record.  Benchmark-only hidden target columns are not part
-    of the schema and are not written.
+    looked up per record.  The records are not validated: they come from
+    :func:`~proxyshift.scm.simulate_records`.
     """
-    d = ds.dims
+    d = records.dims
     # The key's shifted indices are the 1-based file codes, with 0 for T or empty;
     # the cells that no valid record reaches are never looked up.
     table = np.array([f"{e},{w + 1},{x},{y}\n" if e else f"T,{w + 1},,\n"
                       for y in range(d.k_y + 1) for x in range(d.k_x + 1)
                       for w in range(d.k_w) for e in range(d.k_e + 1)], dtype=object)
-    records = table[record_key(d, ds.domain, ds.w, ds.x, ds.y)].tolist()
-    atomic_write_text(path, DATASET_HEADER + "\n" + "".join(records))
+    lines = table[record_key(*records)].tolist()
+    atomic_write_text(path, DATASET_HEADER + "\n" + "".join(lines))
 
 
 def _parse_line(line: str, dims: CategorySpec) -> tuple[int, int, int | None, int | None]:

@@ -94,7 +94,7 @@ def normal_quantile(beta: float) -> float:
 def check_alpha(alpha: float) -> None:
     """Refuse a confidence level ``alpha`` outside (0, 1)."""
     if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha!r}")
+        raise ValidationError(f"alpha must be in (0, 1), got {float(alpha)!r}")
 
 
 @dataclass(frozen=True)

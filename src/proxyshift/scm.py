@@ -5,6 +5,10 @@ The generative story is ``E -> U -> (W, X) -> Y`` with ``Y`` depending on
 confounder ``U`` by ``q_u``; only ``W`` is observed there.  Category indices
 are 0-based in memory (file formats are 1-based, see :mod:`proxyshift.fileio`).
 
+Estimators read :class:`ContingencyCounts`.  Unit :class:`Records` exist only
+at the file boundary, between :func:`simulate_records` and
+:func:`~proxyshift.fileio.save_dataset` on the CLI ``simulate`` path.
+
 Every effect averages :func:`effect_given_u` over a confounder law: ``q_u`` in
 :func:`true_effect`, ``q(u | x)`` in :func:`target_conditional` and
 ``p(u | e, x)`` in :func:`population_views`.
@@ -13,14 +17,15 @@ Every effect averages :func:`effect_given_u` over a confounder law: ``q_u`` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .categorical import CategorySpec, validate_stochastic, _freeze
 from .errors import ValidationError
 
-#: Domain code for target-domain records in :class:`Dataset` arrays.
+#: Target domain code in :class:`Records`, held only by ``simulate`` and ``save_dataset``.
 TARGET = -1
 
 #: Sentinel for x/y values that are unobserved (target-domain records).
@@ -134,77 +139,52 @@ class ContingencyCounts:
         return self.n_src + self.n_tgt
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset(ContingencyCounts):
-    """Unit records ``(domain, w, x, y)`` stored as parallel index arrays.
+class Records(NamedTuple):
+    """Unit records ``(domain, w, x, y)`` as parallel 1-d index arrays.
 
     ``domain`` is a 0-based source index or :data:`TARGET`; ``x`` and ``y``
-    are :data:`MISSING` exactly on target records, and the hidden target
-    cells ``n_yxw_target`` stay ``None``: only :func:`simulate_counts` in
-    benchmark mode keeps them.  Records exist for the CLI ``simulate`` path,
-    whose files :func:`~proxyshift.fileio.save_dataset` writes from the
-    record arrays.  The records are counted once, on construction;
-    estimators read only the counts.  A dataset owns the record arrays it is
-    given: it freezes them, not copies.
+    are :data:`MISSING` exactly on target records.
     """
 
-    n_yxwe: np.ndarray = field(init=False, repr=False)
-    n_w_target: np.ndarray = field(init=False, repr=False)
-    n_yxw_target: np.ndarray | None = field(init=False, repr=False, default=None)
     dims: CategorySpec
     domain: np.ndarray
     w: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        d = self.dims
-        arrays = {name: np.asarray(getattr(self, name), dtype=np.int64)
-                  for name in ("domain", "w", "x", "y")}
-        if any(arr.ndim != 1 for arr in arrays.values()):
-            raise ValidationError("record arrays must be 1-d")
-        if len({arr.size for arr in arrays.values()}) > 1:
-            raise ValidationError("record arrays must have equal length")
-        domain, w, x, y = arrays.values()
-        if not _in_range(domain, TARGET, d.k_e):
-            raise ValidationError("source domain index out of range")
-        if not _in_range(w, 0, d.k_w):
-            raise ValidationError("w index out of range")
-        for name, arr, k in (("x", x, d.k_x), ("y", y, d.k_y)):
-            if not _in_range(arr, MISSING, k):
-                carried = np.any((domain == TARGET) & (arr != MISSING))
-                raise ValidationError(f"target records must not carry {name}" if carried else
-                                      f"{name} missing or out of range on a source record")
-        # Each index is in range, so every record has a cell of the shifted table.  The
-        # valid ones fill its source block and its target row; counts anywhere else
-        # are target records carrying x/y or source records missing them.
-        shape = (d.k_y + 1, d.k_x + 1, d.k_w, d.k_e + 1)
-        table = np.bincount(record_key(d, domain, w, x, y), minlength=math.prod(shape))
-        table = table.reshape(shape)
-        tgt, src = table[..., 0], table[..., 1:]
-        for name, carried, missing in (("x", tgt[:, 1:], src[:, 0]), ("y", tgt[1:], src[0])):
-            if carried.any():
-                raise ValidationError(f"target records must not carry {name}")
-            if missing.any():
-                raise ValidationError(f"{name} missing or out of range on a source record")
-        object.__setattr__(self, "n_yxwe", src[1:, 1:])
-        object.__setattr__(self, "n_w_target", tgt[0, 0])
-        for name, arr in arrays.items():
-            _freeze(self, name, arr)
-        super().__post_init__()
 
-    @classmethod
-    def from_records(cls, records, dims: CategorySpec) -> "Dataset":
-        """Build a dataset from ``(domain, w, x, y)`` tuples (0-based, or
-        ``TARGET``/``None`` markers for target rows)."""
-        domain, w, x, y = [], [], [], []
-        for dom, wi, xi, yi in records:
-            domain.append(TARGET if dom == TARGET else int(dom))
-            w.append(int(wi))
-            x.append(MISSING if xi is None else int(xi))
-            y.append(MISSING if yi is None else int(yi))
-        return cls(dims, np.array(domain, dtype=np.int64), np.array(w, dtype=np.int64),
-                   np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
+def count_records(records: Records) -> ContingencyCounts:
+    """Validate records and count them into the source tensor and the target
+    proxy counts, with one ``bincount`` and no copy of the record arrays."""
+    d = records.dims
+    arrays = [np.asarray(arr, dtype=np.int64) for arr in records[1:]]
+    if any(arr.ndim != 1 for arr in arrays):
+        raise ValidationError("record arrays must be 1-d")
+    if len({arr.size for arr in arrays}) > 1:
+        raise ValidationError("record arrays must have equal length")
+    domain, w, x, y = arrays
+    if not _in_range(domain, TARGET, d.k_e):
+        raise ValidationError("source domain index out of range")
+    if not _in_range(w, 0, d.k_w):
+        raise ValidationError("w index out of range")
+    for name, arr, k in (("x", x, d.k_x), ("y", y, d.k_y)):
+        if not _in_range(arr, MISSING, k):
+            carried = np.any((domain == TARGET) & (arr != MISSING))
+            raise ValidationError(f"target records must not carry {name}" if carried else
+                                  f"{name} missing or out of range on a source record")
+    # Each index is in range, so every record has a cell of the shifted table.  The
+    # valid ones fill its source block and its target row; counts anywhere else
+    # are target records carrying x/y or source records missing them.
+    shape = (d.k_y + 1, d.k_x + 1, d.k_w, d.k_e + 1)
+    table = np.bincount(record_key(d, domain, w, x, y), minlength=math.prod(shape))
+    table = table.reshape(shape)
+    tgt, src = table[..., 0], table[..., 1:]
+    for name, carried, missing in (("x", tgt[:, 1:], src[:, 0]), ("y", tgt[1:], src[0])):
+        if carried.any():
+            raise ValidationError(f"target records must not carry {name}")
+        if missing.any():
+            raise ValidationError(f"{name} missing or out of range on a source record")
+    return ContingencyCounts(src[1:, 1:], tgt[0, 0])
 
 
 def sample_scm_spec(dims: CategorySpec, rng: np.random.Generator) -> ScmSpec:
@@ -251,7 +231,7 @@ def _uwx_column(dims: CategorySpec, u: np.ndarray, w: np.ndarray, x) -> np.ndarr
     return u
 
 
-def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator) -> Dataset:
+def simulate_records(spec: ScmSpec, n: int, rng: np.random.Generator) -> Records:
     """Ancestral forward sampling of ``n`` i.i.d. records.
 
     Each record draws ``E`` from the domain prior, ``U`` from its domain's
@@ -279,14 +259,19 @@ def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator) -> Dataset
     e_raw[is_tgt] = TARGET
     x[is_tgt] = MISSING
     y[is_tgt] = MISSING
-    return Dataset(d, e_raw, w, x, y)
+    return Records(d, e_raw, w, x, y)
+
+
+def simulate_dataset(spec: ScmSpec, n: int, rng: np.random.Generator) -> ContingencyCounts:
+    """The counts of :func:`simulate_records`, the same draws for every seed."""
+    return count_records(simulate_records(spec, n, rng))
 
 
 def _cell_law(spec: ScmSpec) -> np.ndarray:
     """The ``(k_y, k_x, k_w, k_e + 1)`` table of joint record probabilities
     ``prior[e] sum_u p(u | e) p(w | u) p(x | u) p(y | u, w, x)``, the target
     domain last with ``q_u`` as its confounder law: the law of one record of
-    :func:`simulate_dataset` before the target's ``x, y`` are hidden."""
+    :func:`simulate_records` before the target's ``x, y`` are hidden."""
     u_cols = np.column_stack([spec.p_u_given_e, spec.q_u])
     return np.einsum("yuwx,wu,xu,ue,e->yxwe", spec.p_y_given_uwx, spec.p_w_given_u,
                      spec.p_x_given_u, u_cols, spec.domain_prior)
@@ -294,7 +279,7 @@ def _cell_law(spec: ScmSpec) -> np.ndarray:
 
 def simulate_counts(spec: ScmSpec, n: int, rng: np.random.Generator,
                     benchmark_mode: bool = False) -> ContingencyCounts:
-    """The counts of ``n`` i.i.d. records of :func:`simulate_dataset`, drawn
+    """The counts of ``n`` i.i.d. records of :func:`simulate_records`, drawn
     as one multinomial over the cells of :func:`_cell_law` without building
     the records.  The full table is always drawn, so ``benchmark_mode`` only
     decides whether the target's hidden ``(y, x, w)`` cells are kept."""

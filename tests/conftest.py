@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from proxyshift.categorical import CategorySpec
-from proxyshift.scm import ScmSpec
+from proxyshift.scm import MISSING, ContingencyCounts, Records, ScmSpec, count_records
 
 
 class Mechanism(NamedTuple):
@@ -39,6 +39,14 @@ def source_cells(mechanism) -> np.ndarray:
     return np.einsum("yuwx,wu,xu,ue->yxwe", mechanism.p_y_given_uwx,
                      mechanism.p_w_given_u, mechanism.p_x_given_u,
                      mechanism.p_u_given_e)
+
+
+def count_rows(rows, dims: CategorySpec) -> ContingencyCounts:
+    """The counts of ``(domain, w, x, y)`` tuples: 0-based indices, with
+    ``TARGET`` as the domain and ``None`` as the x and y of a target row."""
+    cols = np.array([[MISSING if v is None else v for v in row] for row in rows],
+                    dtype=np.int64).reshape(-1, 4)
+    return count_records(Records(dims, *cols.T))
 
 
 def constant_outcome_tensor(p_y1_given_ux: np.ndarray, k_w: int) -> np.ndarray:

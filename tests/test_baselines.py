@@ -8,11 +8,11 @@ from proxyshift.baselines import (no_adjustment, oracle_estimate, w_adjustment,
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError, ZeroDenominatorError
 from proxyshift.reduced import reduced_estimate
-from proxyshift.scm import (TARGET, Dataset, interventional_counts,
-                            sample_scm_spec, simulate_counts, simulate_dataset,
-                            target_conditional, true_effect)
+from proxyshift.scm import (TARGET, interventional_counts, sample_scm_spec,
+                            simulate_counts, simulate_dataset, target_conditional,
+                            true_effect)
 
-from conftest import nonidentified_spec
+from conftest import count_rows, nonidentified_spec
 
 
 class TestOracle:
@@ -43,21 +43,20 @@ def tiny_dims():
 
 class TestNoAdjustment:
     def test_counting(self):
-        ds = Dataset.from_records(
-            [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)], tiny_dims())
+        ds = count_rows([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)], tiny_dims())
         assert no_adjustment(ds, 0, 0) == pytest.approx(2 / 3)
 
     def test_single_record(self):
-        ds = Dataset.from_records([(0, 0, 0, 0)], tiny_dims())
+        ds = count_rows([(0, 0, 0, 0)], tiny_dims())
         assert no_adjustment(ds, 0, 0) == 1.0
 
     def test_zero_denominator(self):
-        ds = Dataset.from_records([(0, 0, 1, 0)], tiny_dims())
+        ds = count_rows([(0, 0, 1, 0)], tiny_dims())
         with pytest.raises(ZeroDenominatorError):
             no_adjustment(ds, 0, 0)
 
     def test_target_scope_requires_benchmark_columns(self):
-        ds = Dataset.from_records([(TARGET, 0, None, None)], tiny_dims())
+        ds = count_rows([(TARGET, 0, None, None)], tiny_dims())
         with pytest.raises(ValidationError):
             no_adjustment(ds, 0, 0, scope="target")
 
@@ -73,25 +72,24 @@ class TestNoAdjustment:
 class TestWAdjustment:
     def test_single_proxy_level_equals_no_adjustment(self):
         dims = CategorySpec(k_e=1, k_u=1, k_w=1, k_x=2, k_y=2)
-        ds = Dataset.from_records(
-            [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0)], dims)
+        ds = count_rows([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0)], dims)
         assert w_adjustment(ds, 0, 0) == no_adjustment(ds, 0, 0)
 
     def test_six_record_hand_count(self):
         # proxy cell 0: 1 of 2 treated records has the outcome; cell 1: 2 of
         # 2; both cells hold half the records, so 0.5 * 0.5 + 1.0 * 0.5
-        ds = Dataset.from_records([
+        ds = count_rows([
             (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0),
             (0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 1, 1),
         ], tiny_dims())
         assert w_adjustment(ds, 0, 0) == pytest.approx(0.75)
 
     def test_zero_weight_cells_are_skipped(self):
-        ds = Dataset.from_records([(0, 0, 0, 0), (0, 0, 0, 1)], tiny_dims())
+        ds = count_rows([(0, 0, 0, 0), (0, 0, 0, 1)], tiny_dims())
         assert w_adjustment(ds, 0, 0) == pytest.approx(0.5)
 
     def test_zero_denominator_names_cell(self):
-        ds = Dataset.from_records([(0, 0, 0, 0), (0, 1, 1, 0)], tiny_dims())
+        ds = count_rows([(0, 0, 0, 0), (0, 1, 1, 0)], tiny_dims())
         with pytest.raises(ZeroDenominatorError, match="proxy cell 1"):
             w_adjustment(ds, 0, 0)
 
@@ -154,3 +152,8 @@ class TestWaldInterval:
     def test_level_outside_unit_interval_is_refused(self, alpha):
         with pytest.raises(ValidationError, match="alpha"):
             wald_interval(0.5, 100, alpha)
+
+    def test_level_message_prints_plain_numbers(self):
+        with pytest.raises(ValidationError,
+                           match=r"^alpha must be in \(0, 1\), got 1\.5$"):
+            wald_interval(0.5, 10, np.float64(1.5))

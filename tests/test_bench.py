@@ -36,6 +36,27 @@ class TestConfig:
         with pytest.raises(ValidationError, match="alpha"):
             small_config(alpha=alpha)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"x": 2}, "x must be in 0..1, got 2"),
+        ({"x": -1}, "x must be in 0..1, got -1"),
+        ({"y": -1}, "y must be in 0..1, got -1"),
+        ({"y": 3, "dims": CategorySpec(2, 2, 2, 2, 3)}, "y must be in 0..2, got 3"),
+        ({"bootstrap_b": 1}, "bootstrap_b must be >= 2, got 1"),
+        ({"n_sweep": (800, 0)}, r"n_sweep entries must be >= 1, got \[800, 0\]"),
+        ({"n_sweep": (-5,)}, r"n_sweep entries must be >= 1, got \[-5\]"),
+        ({"repetitions": 0}, "repetitions must be >= 1, got 0"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+    ])
+    def test_rejects_values_that_would_mislead(self, overrides, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            small_config(**overrides)
+
+    def test_accepts_the_edges_of_each_range(self):
+        config = small_config(x=1, y=1, bootstrap_b=2, n_sweep=(1,), repetitions=1,
+                              master_seed=0)
+        assert config.sweep == (1,)
+        assert small_config(n_sweep=()).sweep == (1500,)
+
 
 class TestPointError:
     def test_single_replicate_record_count(self):
@@ -258,10 +279,11 @@ class TestCountSpace:
                                          estimators=ALL_ESTIMATORS)),
     ], ids=["point_error", "baseline_comparison", "coverage", "runtime"])
     def test_no_study_builds_a_dataset(self, monkeypatch, study):
-        def refuse(self):
-            raise AssertionError("a study built a Dataset")
+        def refuse(*args):
+            raise AssertionError("a study drew or counted records")
 
-        monkeypatch.setattr(scm.Dataset, "__post_init__", refuse)
+        monkeypatch.setattr(scm, "simulate_records", refuse)
+        monkeypatch.setattr(scm, "count_records", refuse)
         study()
 
 

@@ -58,6 +58,14 @@ class TestTypes:
         with pytest.raises(ValidationError):
             CategorySpec(k_e=0, k_u=1, k_w=1, k_x=1, k_y=1)
 
+    def test_category_spec_message_prints_plain_numbers(self):
+        with pytest.raises(ValidationError,
+                           match="^k_e must be a positive integer, got 0$"):
+            CategorySpec(np.int64(0), 2, 2, 2, 2)
+        with pytest.raises(ValidationError,
+                           match="^k_w must be a positive integer, got '2'$"):
+            CategorySpec(2, 2, "2", 2, 2)
+
     def test_category_spec_label_mismatch(self):
         with pytest.raises(ValidationError):
             CategorySpec(k_e=2, k_u=1, k_w=1, k_x=1, k_y=1, labels_e=("a",))

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output schemas, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -170,6 +171,9 @@ class TestExitCodes:
         ("dims", {"lables_e": ["a", "b"]}, "lables_e"),
         ("bench", {"dims": {"k_e": 2.5, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2}}, "k_e"),
         ("model", {"dims": {"k_e": 2, "k_u": 2, "k_w": True, "k_x": 2, "k_y": 2}}, "k_w"),
+        # a value of the right type that no study can honour
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "x": 5}, "x must be in 0..1"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"
@@ -198,6 +202,23 @@ class TestSimulate:
         b_model, b_data, _ = simulate_fixture(tmp_path / "b", seed=7, n=1000)
         assert a_model.read_bytes() == b_model.read_bytes()
         assert a_data.read_bytes() == b_data.read_bytes()
+
+    def test_files_are_unchanged(self, tmp_path):
+        # sha256 of the files this release's record sampler and writer produce;
+        # a change of draws, line format or JSON layout must show here
+        res = run_cli("simulate", "--k-e", "3", "--k-u", "2", "--k-w", "2", "--k-x", "2",
+                      "--k-y", "2", "--n", "5000", "--seed", "17",
+                      "--out-data", str(tmp_path / "d.csv"),
+                      "--out-model", str(tmp_path / "m.json"),
+                      "--out-dims", str(tmp_path / "dims.json"))
+        assert res.returncode == 0, res.stderr
+        expected = {
+            "d.csv": "03e809c4b31cefd8ee677ed9eec3c236a75109994e1d0fa6fb536cd1d25a8a6f",
+            "m.json": "98e834e78be26263fbf3ef940080aab7ef9d24a9f66f312fa48e4a853fc1c25a",
+            "dims.json": "da07bccedc1dca6a807e900288736701c340a11825f2e6e66eeca6dfa67630de",
+        }
+        for name, digest in expected.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_different_seed_differs(self, tmp_path):
         a_model, _, _ = simulate_fixture(tmp_path / "a", seed=7)
@@ -251,7 +272,7 @@ class TestEstimate:
 
     def test_bootstrap_matches_in_process(self, tmp_path):
         # the CLI reads the CSV into counts, the library call takes the
-        # simulated Dataset: both must merge the cells into the same
+        # counts of simulate_dataset: both must merge the cells into the same
         # categories, in the same order, to make the same draws
         _, data, dims = simulate_fixture(tmp_path / "a", seed=11, n=3000)
         res = run_cli("estimate", "--data", str(data), "--dims", str(dims),

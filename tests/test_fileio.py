@@ -1,4 +1,4 @@
-"""Dataset/model file round-trips and schema errors."""
+"""Round-trips and schema errors of the dataset CSV and the model files."""
 
 import json
 import re
@@ -17,8 +17,8 @@ from proxyshift.categorical import CategorySpec
 from proxyshift.errors import DatasetFormatError, ValidationError
 from proxyshift.fileio import (DATASET_HEADER, _parse_line, load_dataset, load_dims,
                                load_model, save_dataset, save_dims, save_model)
-from proxyshift.scm import (TARGET, ContingencyCounts, sample_scm_spec,
-                            simulate_dataset, true_effect)
+from proxyshift.scm import (TARGET, ContingencyCounts, count_records, sample_scm_spec,
+                            simulate_records, true_effect)
 
 from conftest import nonidentified_spec
 
@@ -41,12 +41,12 @@ class TestDatasetFiles:
 
     def test_round_trip_identity(self, tmp_path, dims):
         spec = sample_scm_spec(dims, np.random.default_rng(1))
-        ds = simulate_dataset(spec, 500, np.random.default_rng(2))
+        records = simulate_records(spec, 500, np.random.default_rng(2))
         path = tmp_path / "d.csv"
-        save_dataset(ds, path)
-        loaded = load_dataset(path, dims)
-        assert np.array_equal(loaded.n_yxwe, ds.n_yxwe)
-        assert np.array_equal(loaded.n_w_target, ds.n_w_target)
+        save_dataset(records, path)
+        loaded, counts = load_dataset(path, dims), count_records(records)
+        assert np.array_equal(loaded.n_yxwe, counts.n_yxwe)
+        assert np.array_equal(loaded.n_w_target, counts.n_w_target)
 
     def test_target_row_with_xy_names_line(self, tmp_path, dims):
         path = tmp_path / "d.csv"
@@ -111,10 +111,10 @@ class TestDatasetFiles:
         assert res.stderr.startswith("proxyshift: error:")
 
 
-def _reference_csv(ds) -> str:
+def _reference_csv(records) -> str:
     """The per-record writer that ``save_dataset``'s cell table replaces."""
     lines = ["domain,w,x,y"]
-    for dom, w, x, y in zip(ds.domain, ds.w, ds.x, ds.y):
+    for dom, w, x, y in zip(*records[1:]):
         if dom == TARGET:
             lines.append(f"T,{w + 1},,")
         else:
@@ -128,14 +128,15 @@ def _reference_csv(ds) -> str:
 def test_save_load_round_trip_property(k_e, k_w, k_x, k_y, n, seed):
     dims = CategorySpec(k_e=k_e, k_u=2, k_w=k_w, k_x=k_x, k_y=k_y)
     rng = np.random.default_rng(seed)
-    ds = simulate_dataset(sample_scm_spec(dims, rng), n, rng)
+    records = simulate_records(sample_scm_spec(dims, rng), n, rng)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
-        save_dataset(ds, path)
-        assert path.read_bytes() == _reference_csv(ds).encode()
+        save_dataset(records, path)
+        assert path.read_bytes() == _reference_csv(records).encode()
         loaded = load_dataset(path, dims)
-    assert np.array_equal(loaded.n_yxwe, ds.n_yxwe)
-    assert np.array_equal(loaded.n_w_target, ds.n_w_target)
+    counts = count_records(records)
+    assert np.array_equal(loaded.n_yxwe, counts.n_yxwe)
+    assert np.array_equal(loaded.n_w_target, counts.n_w_target)
 
 
 def _reference_load(path, dims) -> ContingencyCounts:

@@ -14,10 +14,11 @@ from proxyshift.errors import BootstrapError, EmptyCellError, ProxyShiftError, V
 from proxyshift.reduced import (EtaVector, _cell_table, _evaluate, _perturb_values,
                                 _proxy_matrix, _split_eta, bootstrap_ci, eta_from_counts,
                                 grad_h, h_of_eta, normal_quantile, reduced_estimate)
-from proxyshift.scm import (TARGET, ContingencyCounts, Dataset, population_views,
-                            sample_scm_spec, simulate_dataset, true_effect)
+from proxyshift.scm import (TARGET, ContingencyCounts, Records, count_records,
+                            population_views, sample_scm_spec, simulate_dataset,
+                            simulate_records, true_effect)
 
-from conftest import source_cells, well_conditioned_spec
+from conftest import count_rows, source_cells, well_conditioned_spec
 
 
 def population_eta(spec, x, y) -> EtaVector:
@@ -36,9 +37,9 @@ def population_eta(spec, x, y) -> EtaVector:
     return EtaVector(np.array(values), k_w, k_e)
 
 
-def four_record_dataset() -> Dataset:
+def four_record_dataset() -> ContingencyCounts:
     dims = CategorySpec(k_e=1, k_u=2, k_w=2, k_x=2, k_y=2)
-    return Dataset.from_records([
+    return count_rows([
         (TARGET, 0, None, None),
         (TARGET, 1, None, None),
         (0, 0, 0, 0),
@@ -46,13 +47,13 @@ def four_record_dataset() -> Dataset:
     ], dims)
 
 
-def ratio_dataset() -> Dataset:
+def ratio_dataset() -> ContingencyCounts:
     """Twelve records with a single proxy category: the map reduces to the
     ratio p(y, x, e) / p(x, e) = (4/12) / (6/12)."""
     dims = CategorySpec(k_e=1, k_u=1, k_w=1, k_x=2, k_y=2)
     recs = [(TARGET, 0, None, None)] * 4
     recs += [(0, 0, 0, 0)] * 4 + [(0, 0, 0, 1)] * 2 + [(0, 0, 1, 0)] * 2
-    return Dataset.from_records(recs, dims)
+    return count_rows(recs, dims)
 
 
 class TestEtaFromDataset:
@@ -63,18 +64,16 @@ class TestEtaFromDataset:
 
     def test_all_target(self):
         dims = CategorySpec(k_e=1, k_u=2, k_w=2, k_x=2, k_y=2)
-        ds = Dataset.from_records([(TARGET, 0, None, None),
-                                   (TARGET, 1, None, None)], dims)
+        ds = count_rows([(TARGET, 0, None, None), (TARGET, 1, None, None)], dims)
         eta = eta_from_counts(ds, 0, 0)
         np.testing.assert_allclose(eta.values, [0.5, 1.0, 0.0, 0.0, 0.0])
 
     def test_duplication_keeps_mean_and_scales_covariance(self):
         spec = well_conditioned_spec()
-        ds = simulate_dataset(spec, 400, np.random.default_rng(3))
-        doubled = Dataset(ds.dims, np.concatenate([ds.domain, ds.domain]),
-                          np.concatenate([ds.w, ds.w]),
-                          np.concatenate([ds.x, ds.x]),
-                          np.concatenate([ds.y, ds.y]))
+        records = simulate_records(spec, 400, np.random.default_rng(3))
+        ds = count_records(records)
+        doubled = count_records(Records(records.dims,
+                                        *(np.concatenate([a, a]) for a in records[1:])))
         eta = eta_from_counts(ds, 0, 0)
         eta2 = eta_from_counts(doubled, 0, 0)
         np.testing.assert_allclose(eta2.values, eta.values, atol=1e-15)
@@ -105,21 +104,22 @@ class TestEtaFromDataset:
         # the delta-method variance g^T Sigma g is the sample variance of the
         # records' scores
         spec = well_conditioned_spec()
-        ds = simulate_dataset(spec, 300, np.random.default_rng(19))
+        rec = simulate_records(spec, 300, np.random.default_rng(19))
+        ds = count_records(rec)
         x, y = 0, 0
-        k_w, k_e = ds.dims.k_w, ds.dims.k_e
+        k_w, k_e = rec.dims.k_w, rec.dims.k_e
         k_eta = k_w + (k_w + 1) * k_e
         rows = np.zeros((ds.n, k_eta))
         for i in range(ds.n):
-            if ds.domain[i] == TARGET:
-                if ds.w[i] < k_w - 1:
-                    rows[i, ds.w[i]] = 1.0
+            if rec.domain[i] == TARGET:
+                if rec.w[i] < k_w - 1:
+                    rows[i, rec.w[i]] = 1.0
                 rows[i, k_w - 1] = 1.0
-            elif ds.x[i] == x:
-                e = ds.domain[i]
-                if ds.w[i] < k_w - 1:
-                    rows[i, k_w + e * (k_w - 1) + ds.w[i]] = 1.0
-                if ds.y[i] == y:
+            elif rec.x[i] == x:
+                e = rec.domain[i]
+                if rec.w[i] < k_w - 1:
+                    rows[i, k_w + e * (k_w - 1) + rec.w[i]] = 1.0
+                if rec.y[i] == y:
                     rows[i, k_w + (k_w - 1) * k_e + e] = 1.0
                 rows[i, k_w + k_w * k_e + e] = 1.0
         eta = eta_from_counts(ds, x, y)
@@ -131,9 +131,10 @@ class TestEtaFromDataset:
 
     def test_record_order_invariance_bit_for_bit(self):
         spec = well_conditioned_spec()
-        ds = simulate_dataset(spec, 2000, np.random.default_rng(5))
+        records = simulate_records(spec, 2000, np.random.default_rng(5))
+        ds = count_records(records)
         perm = np.random.default_rng(6).permutation(ds.n)
-        shuffled = Dataset(ds.dims, ds.domain[perm], ds.w[perm], ds.x[perm], ds.y[perm])
+        shuffled = count_records(Records(records.dims, *(a[perm] for a in records[1:])))
         eta_a = eta_from_counts(ds, 0, 0)
         eta_b = eta_from_counts(shuffled, 0, 0)
         assert np.array_equal(eta_a.values, eta_b.values)
@@ -164,10 +165,10 @@ class TestHOfEta:
 
     def test_empty_cell_errors(self):
         dims = CategorySpec(k_e=2, k_u=2, k_w=2, k_x=2, k_y=2)
-        no_target = Dataset.from_records([(0, 0, 0, 0), (1, 1, 1, 1)], dims)
+        no_target = count_rows([(0, 0, 0, 0), (1, 1, 1, 1)], dims)
         with pytest.raises(EmptyCellError, match="target"):
             h_of_eta(eta_from_counts(no_target, 0, 0))
-        missing_x_in_domain_1 = Dataset.from_records(
+        missing_x_in_domain_1 = count_rows(
             [(0, 0, 0, 0), (1, 1, 1, 1), (TARGET, 0, None, None)], dims)
         with pytest.raises(EmptyCellError, match="domain 1"):
             h_of_eta(eta_from_counts(missing_x_in_domain_1, 0, 0))
@@ -226,7 +227,7 @@ class TestReducedEstimate:
         recs += [(1, 0, 0, 0)] * 6 + [(1, 1, 0, 1)] * 2
         recs += [(0, 0, 1, 0), (1, 1, 1, 1)]
         recs += [(TARGET, 0, None, None)] * 3 + [(TARGET, 1, None, None)] * 2
-        ds = Dataset.from_records(recs, dims)
+        ds = count_rows(recs, dims)
         est = reduced_estimate(ds, 0, 0)
         assert est.flags.rank_perturbed
         assert np.isfinite(est.point_unclipped)
@@ -239,7 +240,7 @@ class TestReducedEstimate:
 
     def test_missing_treatment_cell_is_an_error(self):
         dims = CategorySpec(k_e=2, k_u=2, k_w=2, k_x=2, k_y=2)
-        ds = Dataset.from_records(
+        ds = count_rows(
             [(0, 0, 0, 0), (1, 0, 1, 0), (TARGET, 0, None, None)], dims)
         with pytest.raises(EmptyCellError) as excinfo:
             reduced_estimate(ds, 0, 0)
@@ -300,7 +301,7 @@ class TestBootstrap:
         # same ratio and the bootstrap spread collapses
         dims = CategorySpec(k_e=1, k_u=1, k_w=1, k_x=1, k_y=1)
         recs = [(0, 0, 0, 0)] * 30 + [(TARGET, 0, None, None)] * 10
-        ds = Dataset.from_records(recs, dims)
+        ds = count_rows(recs, dims)
         boot = bootstrap_ci(ds, 0, 0, 64, rng=0)
         assert boot.sigma_boot == 0.0
         assert boot.ci_lower == boot.ci_upper == 1.0
@@ -390,7 +391,7 @@ def reference_bootstrap(ds, x, y, n_boot, seed, alpha=0.05):
     return bounds, sigma, failures, perturbed
 
 
-def tied_and_sparse_dataset() -> Dataset:
+def tied_and_sparse_dataset() -> ContingencyCounts:
     """Few records per treated cell: resamples often tie the two domains'
     proxy ratios (rank repair) or lose domain 1's treated records (an empty
     cell)."""
@@ -398,7 +399,7 @@ def tied_and_sparse_dataset() -> Dataset:
     recs = [(0, 0, 0, 0)] * 3 + [(0, 1, 0, 1), (0, 0, 0, 1)]
     recs += [(1, 0, 0, 0), (1, 1, 0, 1)] + [(1, 0, 1, 0)] * 6 + [(0, 1, 1, 1)] * 4
     recs += [(TARGET, 0, None, None)] * 3 + [(TARGET, 1, None, None)] * 2
-    return Dataset.from_records(recs, dims)
+    return count_rows(recs, dims)
 
 
 def loop_cell_table(counts: ContingencyCounts, x: int, y: int, k_w: int, k_e: int):
@@ -633,7 +634,7 @@ class TestBootstrapFailures:
         # leave fewer than two estimates for the spread
         dims = CategorySpec(k_e=2, k_u=2, k_w=2, k_x=2, k_y=2)
         recs = [(0, 0, 0, 0), (1, 1, 0, 1)] + [(0, 0, 1, 0)] * 3 + [(1, 1, 1, 1)] * 3
-        ds = Dataset.from_records(recs + [(TARGET, 0, None, None)], dims)
+        ds = count_rows(recs + [(TARGET, 0, None, None)], dims)
         outcomes = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -675,10 +676,9 @@ def outcome(fn, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def shard(ds: Dataset, stop: int, start: int = 0) -> Dataset:
-    """Records ``start:stop`` of a dataset."""
-    return Dataset(ds.dims, ds.domain[start:stop], ds.w[start:stop],
-                   ds.x[start:stop], ds.y[start:stop])
+def shard(records: Records, stop: int, start: int = 0) -> ContingencyCounts:
+    """The counts of records ``start:stop``."""
+    return count_records(Records(records.dims, *(a[start:stop] for a in records[1:])))
 
 
 def well_conditioned_draw(dims: CategorySpec, seed: int, max_kappa: float = 8.0):
@@ -698,9 +698,10 @@ class TestCountsCurrency:
            st.integers(20, 3000), st.floats(0.0, 1.0))
     def test_counts_add_across_shards(self, seed, dims, n, cut):
         spec = sample_scm_spec(CategorySpec(*dims), np.random.default_rng(seed))
-        ds = simulate_dataset(spec, n, np.random.default_rng(seed + 1))
+        records = simulate_records(spec, n, np.random.default_rng(seed + 1))
+        ds = count_records(records)
         stop = int(cut * n)
-        a, b = shard(ds, stop), shard(ds, n, stop)
+        a, b = shard(records, stop), shard(records, n, stop)
         merged = ContingencyCounts(a.n_yxwe + b.n_yxwe, a.n_w_target + b.n_w_target)
         calls = [(reduced_estimate, (), {}), (bootstrap_ci, (40,), {"rng": seed})]
         calls += [(fn, (), {"scope": "pooled"}) for fn in (no_adjustment, w_adjustment)]
@@ -714,15 +715,16 @@ class TestCountsCurrency:
     def test_relabelling_leaves_the_estimate_unchanged(self, seed, dims, axis, random):
         dims = CategorySpec(*dims)
         spec = well_conditioned_draw(dims, seed)
-        ds = simulate_dataset(spec, 20_000, np.random.default_rng(seed + 1))
-        src = ds.domain != TARGET
+        rec = simulate_records(spec, 20_000, np.random.default_rng(seed + 1))
+        ds = count_records(rec)
+        src = rec.domain != TARGET
         if axis == "domains":
             perm = np.array(random.sample(range(dims.k_e), dims.k_e))
-            domain, w = np.where(src, perm[np.maximum(ds.domain, 0)], TARGET), ds.w
+            domain, w = np.where(src, perm[np.maximum(rec.domain, 0)], TARGET), rec.w
         else:
             perm = np.array(random.sample(range(dims.k_w), dims.k_w))
-            domain, w = ds.domain, perm[ds.w]
-        relabelled = Dataset(dims, domain, w, ds.x, ds.y)
+            domain, w = rec.domain, perm[rec.w]
+        relabelled = count_records(Records(dims, domain, w, rec.x, rec.y))
         est, est_r = reduced_estimate(ds, 0, 0), reduced_estimate(relabelled, 0, 0)
         assert not est.flags.rank_perturbed and not est_r.flags.rank_perturbed
         assert est_r.point == pytest.approx(est.point, rel=1e-9, abs=1e-15)

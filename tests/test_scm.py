@@ -9,10 +9,10 @@ import proxyshift.scm as scm
 from proxyshift.baselines import no_adjustment, w_adjustment
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import ValidationError
-from proxyshift.scm import (MISSING, TARGET, ContingencyCounts, Dataset, ScmSpec,
-                            interventional_counts, population_views,
+from proxyshift.scm import (MISSING, TARGET, ContingencyCounts, Records, ScmSpec,
+                            count_records, interventional_counts, population_views,
                             sample_scm_spec, simulate_counts, simulate_dataset,
-                            target_conditional, true_effect)
+                            simulate_records, target_conditional, true_effect)
 
 from conftest import Mechanism, nonidentified_spec, source_cells
 
@@ -68,11 +68,11 @@ class TestDrawCategorical:
 
     def test_simulation_with_the_reference_sampler_is_unchanged(self, monkeypatch):
         spec = sample_scm_spec(CategorySpec(3, 3, 3, 2, 2), np.random.default_rng(23))
-        ours = simulate_dataset(spec, 5000, np.random.default_rng(24))
-        degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
+        ours = simulate_records(spec, 5000, np.random.default_rng(24))
+        degenerate = simulate_records(point_mass_spec(), 500, np.random.default_rng(25))
         monkeypatch.setattr(scm, "_draw_categorical", reference_draw_categorical)
-        ref = simulate_dataset(spec, 5000, np.random.default_rng(24))
-        ref_degenerate = simulate_dataset(point_mass_spec(), 500, np.random.default_rng(25))
+        ref = simulate_records(spec, 5000, np.random.default_rng(24))
+        ref_degenerate = simulate_records(point_mass_spec(), 500, np.random.default_rng(25))
         for a, b in ((ours, ref), (degenerate, ref_degenerate)):
             for name in ("domain", "w", "x", "y"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -112,20 +112,34 @@ class TestSimulateDataset:
         assert ds.n == 0
 
     def test_point_masses_force_all_records(self):
-        ds = simulate_dataset(point_mass_spec(), 200, np.random.default_rng(5))
-        src = ds.domain != TARGET
-        assert np.all(ds.w == 1)
-        assert np.all(ds.x[src] == 0)
-        assert np.all(ds.y[src] == 1)
-        assert np.all(ds.x[~src] == MISSING)
-        assert np.all(ds.y[~src] == MISSING)
+        rec = simulate_records(point_mass_spec(), 200, np.random.default_rng(5))
+        src = rec.domain != TARGET
+        assert np.all(rec.w == 1)
+        assert np.all(rec.x[src] == 0)
+        assert np.all(rec.y[src] == 1)
+        assert np.all(rec.x[~src] == MISSING)
+        assert np.all(rec.y[~src] == MISSING)
 
     def test_reproducible_bit_for_bit(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(1))
-        a = simulate_dataset(spec, 1000, np.random.default_rng(9))
-        b = simulate_dataset(spec, 1000, np.random.default_rng(9))
+        a = simulate_records(spec, 1000, np.random.default_rng(9))
+        b = simulate_records(spec, 1000, np.random.default_rng(9))
         for name in ("domain", "w", "x", "y"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("dims, n", [((2, 2, 2, 2, 2), 0), ((3, 3, 3, 2, 2), 5000),
+                                         ((30, 2, 10, 2, 2), 20_000)])
+    def test_dataset_is_the_count_of_the_records(self, dims, n):
+        # same seed, same draws: the counts are the records' counts, int64
+        spec = sample_scm_spec(CategorySpec(*dims), np.random.default_rng(n))
+        counts = simulate_dataset(spec, n, np.random.default_rng(3))
+        records = simulate_records(spec, n, np.random.default_rng(3))
+        expected = count_records(records)
+        assert type(counts) is ContingencyCounts and counts.n_yxw_target is None
+        assert counts.n_yxwe.dtype == counts.n_w_target.dtype == np.int64
+        assert np.array_equal(counts.n_yxwe, expected.n_yxwe)
+        assert np.array_equal(counts.n_w_target, expected.n_w_target)
+        assert counts.n == n == records.domain.size
 
     def test_cell_frequencies_match_population(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(3))
@@ -251,48 +265,56 @@ class TestDatasetInvariants:
     def test_target_rows_must_not_carry_xy(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
         with pytest.raises(ValidationError, match="^target records must not carry x$"):
-            Dataset(dims, np.array([TARGET]), np.array([0]),
-                    np.array([1]), np.array([MISSING]))
+            count_records(Records(dims, np.array([TARGET]), np.array([0]),
+                                  np.array([1]), np.array([MISSING])))
         with pytest.raises(ValidationError, match="^target records must not carry y$"):
-            Dataset(dims, np.array([0, TARGET]), np.array([0, 1]),
-                    np.array([1, MISSING]), np.array([0, 1]))
+            count_records(Records(dims, np.array([0, TARGET]), np.array([0, 1]),
+                                  np.array([1, MISSING]), np.array([0, 1])))
 
     def test_source_rows_must_carry_xy(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
         with pytest.raises(ValidationError,
                            match="^x missing or out of range on a source record$"):
-            Dataset(dims, np.array([0]), np.array([0]),
-                    np.array([MISSING]), np.array([0]))
+            count_records(Records(dims, np.array([0]), np.array([0]),
+                                  np.array([MISSING]), np.array([0])))
         with pytest.raises(ValidationError,
                            match="^y missing or out of range on a source record$"):
-            Dataset(dims, np.array([TARGET, 0]), np.array([1, 0]),
-                    np.array([MISSING, 1]), np.array([MISSING, MISSING]))
+            count_records(Records(dims, np.array([TARGET, 0]), np.array([1, 0]),
+                                  np.array([MISSING, 1]), np.array([MISSING, MISSING])))
 
     def test_out_of_range_index(self):
         dims = CategorySpec(1, 1, 2, 2, 2)
         with pytest.raises(ValidationError, match="^w index out of range$"):
-            Dataset(dims, np.array([0]), np.array([5]),
-                    np.array([0]), np.array([0]))
+            count_records(Records(dims, np.array([0]), np.array([5]),
+                                  np.array([0]), np.array([0])))
         for domain in (1, -2):
             with pytest.raises(ValidationError, match="^source domain index out of range$"):
-                Dataset(dims, np.array([0, domain]), np.array([0, 0]),
-                        np.array([0, 0]), np.array([0, 0]))
+                count_records(Records(dims, np.array([0, domain]), np.array([0, 0]),
+                                      np.array([0, 0]), np.array([0, 0])))
         for y in (2, -3):
             with pytest.raises(ValidationError,
                                match="^y missing or out of range on a source record$"):
-                Dataset(dims, np.array([0, 0]), np.array([0, 1]),
-                        np.array([0, 1]), np.array([1, y]))
+                count_records(Records(dims, np.array([0, 0]), np.array([0, 1]),
+                                      np.array([0, 1]), np.array([1, y])))
         with pytest.raises(ValidationError, match="^target records must not carry x$"):
-            Dataset(dims, np.array([TARGET]), np.array([0]),
-                    np.array([-7]), np.array([MISSING]))
+            count_records(Records(dims, np.array([TARGET]), np.array([0]),
+                                  np.array([-7]), np.array([MISSING])))
+
+    def test_record_arrays_must_be_parallel(self):
+        dims = CategorySpec(1, 1, 2, 2, 2)
+        with pytest.raises(ValidationError, match="^record arrays must be 1-d$"):
+            count_records(Records(dims, *np.zeros((4, 1, 1), dtype=np.int64)))
+        with pytest.raises(ValidationError, match="^record arrays must have equal length$"):
+            count_records(Records(dims, np.zeros(2, dtype=np.int64),
+                                  *np.zeros((3, 1), dtype=np.int64)))
 
     def test_counts_invariants(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(8))
-        ds = simulate_dataset(spec, 2000, np.random.default_rng(8))
-        counts = ContingencyCounts(ds.n_yxwe, ds.n_w_target)
-        assert counts.n_yxwe.sum() == counts.n_src == np.count_nonzero(ds.domain != TARGET)
-        assert counts.n_w_target.sum() == counts.n_tgt == np.count_nonzero(ds.domain == TARGET)
-        assert counts.n == ds.n == ds.domain.size
+        records = simulate_records(spec, 2000, np.random.default_rng(8))
+        counts = count_records(records)
+        assert counts.n_yxwe.sum() == counts.n_src == np.count_nonzero(records.domain != TARGET)
+        assert counts.n_w_target.sum() == counts.n_tgt == np.count_nonzero(records.domain == TARGET)
+        assert counts.n == records.domain.size
 
     def test_counts_reject_inconsistent_tensors(self):
         t = np.ones((2, 2, 3, 2), dtype=np.int64)
