@@ -2,7 +2,7 @@
 
 Each baseline reads a ``(k_y, k_x, k_w)`` cell table: the pooled variants
 the source counts summed over domains, the target variants the hidden target
-cell counts, which exist only on counts simulated in benchmark mode (that
+cell counts, which exist only on counts drawn by ``simulate_counts`` (that
 information is unavailable in practice, so these serve as references, not
 competing methods).
 """
@@ -38,7 +38,7 @@ def _scope_table(counts: ContingencyCounts, scope: str) -> np.ndarray:
     if scope == TARGET_SCOPE:
         if counts.n_yxw_target is None:
             raise ValidationError(
-                "target-scope baselines need benchmark-mode counts carrying "
+                "target-scope baselines need simulated counts carrying "
                 "the hidden target treatment/outcome cells")
         return counts.n_yxw_target
     raise ValidationError(f"unknown scope {scope!r}, expected 'pooled' or 'target'")

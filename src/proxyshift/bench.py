@@ -12,7 +12,7 @@ other exception is a bug and aborts the study.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .baselines import (POOLED, TARGET_SCOPE, no_adjustment, oracle_estimate,
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
 from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
+from .fileio import atomic_write_text
 from .reduced import (EffectEstimate, bootstrap_ci, check_alpha, eta_from_counts,
                       reduced_estimate)
 from .scm import (ScmSpec, interventional_counts, population_views,
@@ -54,10 +55,6 @@ _COVERAGE_METHODS = ("reduced_asym", "reduced_boot")
 # What a replicate records as a failure row; any other exception is a bug
 # and propagates out of the study.
 _ESTIMATION_ERRORS = (ProxyShiftError, np.linalg.LinAlgError)
-
-CSV_HEADER = ("model,dataset,estimator,x,y,estimate,truth,abs_error,"
-              "kappa_true,kappa_hat,ci_lower,ci_upper,covered,boot_failed,"
-              "boot_perturbed,wall_time_s,error")
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -108,11 +105,6 @@ class ExperimentConfig:
     def sweep(self) -> tuple[int, ...]:
         return self.n_sweep if self.n_sweep else (self.n_samples,)
 
-    @property
-    def benchmark_mode(self) -> bool:
-        """Whether datasets keep the hidden target cells for ``*`` baselines."""
-        return any(e.endswith("*") for e in self.estimators)
-
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -139,6 +131,7 @@ class ReplicateRecord:
     error: str | None = None
 
     def to_csv_row(self) -> str:
+        """The fields in :data:`CSV_HEADER` order."""
         def fmt(v):
             if v is None:
                 return ""
@@ -149,12 +142,18 @@ class ReplicateRecord:
             return str(v)
         # x, y are written 1-based like every file format in this package;
         # error text is flattened so rows stay single-line comma-separated
-        error = (self.error or "").replace(",", ";").replace("\n", " ")
-        cells = [self.model, self.dataset, self.estimator, self.x + 1, self.y + 1,
-                 self.estimate, self.truth, self.abs_error, self.kappa_true,
-                 self.kappa_hat, self.ci_lower, self.ci_upper, self.covered,
-                 self.boot_failed, self.boot_perturbed, self.wall_time_s, error]
-        return ",".join(fmt(c) for c in cells)
+        row = replace(self, x=self.x + 1, y=self.y + 1,
+                      error=(self.error or "").replace(",", ";").replace("\n", " "))
+        return ",".join(fmt(v) for v in astuple(row))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ReplicateRecord))
+
+
+def write_records_csv(records, path) -> None:
+    """Write ``records`` as a CSV under :data:`CSV_HEADER`, atomically."""
+    lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _model_for(config: ExperimentConfig, candidate: int) -> ScmSpec:
@@ -218,10 +217,8 @@ def _replicate_task(args) -> list[ReplicateRecord]:
     config, model_idx, candidate, dataset_idx = args
     spec = _model_for(config, candidate)
     shared = _shared_fields(config, spec, model_idx, dataset_idx)
-    ds = simulate_counts(
-        spec, config.n_samples,
-        derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx),
-        benchmark_mode=config.benchmark_mode)
+    ds = simulate_counts(spec, config.n_samples,
+                         derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx))
     results = {}
     for name in config.estimators:
         try:
@@ -356,8 +353,7 @@ def run_runtime(config: ExperimentConfig) -> dict:
     for n in config.sweep:
         cfg_n = replace(config, n_samples=n)
         spec = _model_for(cfg_n, 0)
-        ds = simulate_counts(spec, n, derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n),
-                             benchmark_mode=cfg_n.benchmark_mode)
+        ds = simulate_counts(spec, n, derive_rng(cfg_n.master_seed, _SALT_DATA, 0, 0, n))
         per_est = {}
         for name in cfg_n.estimators:
             value = None

@@ -64,7 +64,7 @@ def _freeze(obj, name: str, value: np.ndarray) -> None:
     object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CategorySpec:
     """Cardinalities of the five categorical axes, with optional labels."""
 
@@ -94,14 +94,6 @@ class CategorySpec:
                         f"labels_{axis} has {len(labels)} entries for cardinality {k}")
                 if len(set(labels)) != len(labels):
                     raise ValidationError(f"labels_{axis} contains duplicates")
-
-    def __eq__(self, other):
-        if not isinstance(other, CategorySpec):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f)
-            for f in ("k_e", "k_u", "k_w", "k_x", "k_y",
-                      "labels_e", "labels_u", "labels_w", "labels_x", "labels_y"))
 
 
 def right_pseudoinverse(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:

@@ -189,12 +189,12 @@ def likelihood_gradient(theta: ThetaParams, counts: ContingencyCounts) -> np.nda
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """The best restart's log-likelihood, its optimiser iterations and
+    whether the optimiser reported convergence."""
+
     log_likelihood: float
     iterations: int
     converged: bool
-    restart: int
-    improved: bool
-    message: str = ""
 
 
 def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
@@ -218,8 +218,7 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
     dim = k_u * k_e + k_u + k_w * k_u + k_x * k_u + k_y * k_u * k_w * k_x
     objective = _objective(counts, k_u)
 
-    best: tuple[float, np.ndarray, int, object] | None = None
-    improved = False
+    best: tuple[float, np.ndarray, object] | None = None
     for restart in range(opts.restarts):
         rng = np.random.default_rng([opts.seed, restart])
         x0 = rng.uniform(0.0, 1.0, size=dim)
@@ -231,19 +230,14 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
         x_hat, f_hat = res.x, float(res.fun)
         if f_hat > f0:  # paranoid guard: never return worse than the start
             x_hat, f_hat = x0, f0
-        else:
-            improved = improved or f_hat < f0
         if best is None or f_hat < best[0]:
-            best = (f_hat, x_hat, restart, res)
-    f_best, x_best, restart_best, res_best = best
+            best = (f_hat, x_hat, res)
+    f_best, x_best, res_best = best
     theta = ThetaParams.from_flat(x_best, k_u, k_e, k_w, k_x, k_y)
     diag = FitDiagnostics(
         log_likelihood=-f_best,
         iterations=int(getattr(res_best, "nit", 0)),
-        converged=bool(getattr(res_best, "success", False)),
-        restart=restart_best,
-        improved=improved,
-        message="" if improved else "no restart improved on its starting point")
+        converged=bool(getattr(res_best, "success", False)))
     return theta, diag
 
 

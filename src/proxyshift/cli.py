@@ -21,13 +21,13 @@ import numpy as np
 from . import __version__
 from .baselines import no_adjustment, w_adjustment, wald_interval
 from .bench import (ExperimentConfig, run_baseline_comparison, run_coverage,
-                    run_point_error, run_runtime)
+                    run_point_error, run_runtime, write_records_csv)
 from .categorical import CategorySpec, condition_number
 from .causal import FitOptions, causal_estimate
 from .errors import ProxyShiftError
 from .fileio import (_check_keys, _check_types, atomic_write_text, dims_from_dict,
-                     load_dataset, load_dims, load_model, save_dataset, save_dims,
-                     save_model, write_json, write_records_csv)
+                     load_dataset, load_dims, load_model, model_to_dict, save_dataset,
+                     save_dims, save_model, write_json)
 from .identify import Partition, discretize_proxy, identify_effect, reduce_proxy
 from .reduced import bootstrap_ci, reduced_estimate
 from .scm import population_views, sample_scm_spec, simulate_records
@@ -140,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    from .fileio import model_to_dict
-
     dims = _dims_from_args(args)
     rng = np.random.default_rng(args.seed)
     spec = sample_scm_spec(dims, rng)
@@ -180,9 +178,7 @@ def _cmd_estimate(args) -> int:
         if args.bootstrap:
             boot = bootstrap_ci(ds, x, y, args.bootstrap, alpha=args.alpha,
                                 rng=args.seed)
-            out["bootstrap"] = {"ci_lower": boot.ci_lower, "ci_upper": boot.ci_upper,
-                                "sigma_boot": boot.sigma_boot, "b": args.bootstrap,
-                                "failed": boot.failed, "perturbed": boot.perturbed}
+            out["bootstrap"] = {**boot._asdict(), "b": args.bootstrap}
     elif args.method == "causal":
         k_u = dims.k_u if args.k_u_fit is None else args.k_u_fit
         est = causal_estimate(ds, x, y, FitOptions(seed=args.seed), k_u=k_u)

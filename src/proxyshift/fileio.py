@@ -1,4 +1,4 @@
-"""File schemas: dataset CSV, dimension sidecar, model JSON, results output.
+"""File schemas: dataset CSV, dimension sidecar and model JSON.
 
 All category indices are 1-based in files and 0-based in memory.  CSV
 rows use the literal ``T`` as the domain of target records, whose ``x`` and
@@ -31,7 +31,7 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +68,9 @@ def write_json(path, obj) -> None:
 
 
 def dims_to_dict(dims: CategorySpec) -> dict:
-    out = {"k_e": dims.k_e, "k_u": dims.k_u, "k_w": dims.k_w,
-           "k_x": dims.k_x, "k_y": dims.k_y}
-    for axis in ("e", "u", "w", "x", "y"):
-        labels = getattr(dims, f"labels_{axis}")
-        if labels is not None:
-            out[f"labels_{axis}"] = list(labels)
-    return out
+    """Every field of ``dims``, label tuples as lists; absent labels are left out."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(dims).items() if v is not None}
 
 
 def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
@@ -337,9 +333,3 @@ def save_model(spec: ScmSpec, path) -> None:
 def load_model(path) -> ScmSpec:
     with open(path) as handle:
         return model_from_dict(json.load(handle))
-
-
-def write_records_csv(records, path) -> None:
-    from .bench import CSV_HEADER  # local import to keep the module graph acyclic
-    lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .categorical import (RANK_REL_TOL, _as_matrix, condition_number,
+from .categorical import (RANK_REL_TOL, _as_matrix, _row_ranks, condition_number,
                           numeric_row_rank, right_pseudoinverse)
 from .errors import (NoValidPartitionError, OutOfSupportError,
                      RankDeficiencyError, ValidationError)
@@ -283,8 +283,7 @@ def search_partition(w_values, x_codes, e_codes, k_u: int, m_max: int,
         for mat, n_min in mats:
             s = np.linalg.svd(mat, compute_uv=False)
             floor = 2.0 * np.sqrt(part.m / n_min)
-            if (numeric_row_rank(mat, rel_tol) < k_u
-                    or s[min(k_u, s.size) - 1] < floor):
+            if _row_ranks(s[None], rel_tol)[0] < k_u or s[min(k_u, s.size) - 1] < floor:
                 valid = False
                 break
             score = min(score, float(s[-1]))

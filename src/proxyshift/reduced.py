@@ -13,7 +13,7 @@ is available as an alternative interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -131,27 +131,11 @@ class EffectEstimate:
     fit: FitDiagnostics | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "point": self.point,
-            "point_unclipped": self.point_unclipped,
-            "n": self.n,
-            "alpha": self.alpha,
-            "sigma_hat": self.sigma_hat,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "ci_lower_unclipped": self.ci_lower_unclipped,
-            "ci_upper_unclipped": self.ci_upper_unclipped,
-            "kappa_hat": self.kappa_hat,
-            "flags": {
-                "rank_perturbed": self.flags.rank_perturbed,
-                "clipped_point": self.flags.clipped_point,
-                "clipped_ci": self.flags.clipped_ci,
-            },
-        }
-        if self.fit is not None:
-            out["fit"] = {"converged": self.fit.converged,
-                          "iterations": self.fit.iterations,
-                          "log_likelihood": self.fit.log_likelihood}
+        """Every field, ``flags`` and ``fit`` as nested dicts; no ``fit`` key
+        when there is no fit."""
+        out = asdict(self)
+        if self.fit is None:
+            del out["fit"]
         return out
 
 
@@ -342,6 +326,15 @@ def _evaluate(values: np.ndarray, k_w: int, k_e: int, rank_tol=RANK_REL_TOL,
     return _Map(values, parts, matrices, pinv, q_w, p_y_ex, h, errors, perturbed, tol)
 
 
+def _one(values: np.ndarray, k_w: int, k_e: int, rank_tol=RANK_REL_TOL,
+         repair: bool = False) -> _Map:
+    """:func:`_evaluate` on one statistic vector, raising its row's error."""
+    ev = _evaluate(values[None], k_w, k_e, rank_tol, repair)
+    if ev.errors:
+        raise ev.errors[0]
+    return ev
+
+
 def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
     """Evaluate the identification map on a statistic vector.
 
@@ -350,10 +343,7 @@ def h_of_eta(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> float:
     conditional (ratios), then applies the pseudo-inverse adjustment.  Raises
     :class:`EmptyCellError` when a denominator cell has no mass.
     """
-    ev = _evaluate(eta.values[None], eta.k_w, eta.k_e, rank_tol)
-    if ev.errors:
-        raise ev.errors[0]
-    return float(ev.h[0])
+    return float(_one(eta.values, eta.k_w, eta.k_e, rank_tol).h[0])
 
 
 def _h_raw(values: np.ndarray, k_w: int, k_e: int,
@@ -373,9 +363,12 @@ def grad_h(eta: EtaVector, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     (A^+T b) r^T - a b^T``, chained back through the complements and ratios
     that build ``q``, ``A`` and ``p_y``.  Raises what :func:`h_of_eta` raises.
     """
-    ev = _evaluate(eta.values[None], eta.k_w, eta.k_e, rank_tol)
-    if ev.errors:
-        raise ev.errors[0]
+    return _gradient(_one(eta.values, eta.k_w, eta.k_e, rank_tol))
+
+
+def _gradient(ev: _Map) -> np.ndarray:
+    """:func:`grad_h` at the first row of ``ev``, from the SVD that gave its
+    ``A^+``."""
     q_t, p_xe, m = ev.parts.q_t[0], ev.parts.p_xe[0], ev.matrices[0]
     pinv, q, p = ev.pinv[0], ev.q_w[0], ev.p_y_ex[0]
     a, b = pinv.T @ p, pinv @ q
@@ -406,24 +399,14 @@ def _perturb_values(values: np.ndarray, k_w: int, k_e: int,
 _PERTURBED_RANK_TOL = 1e-13
 
 
-class _Centre(NamedTuple):
-    """The full-sample estimate that both intervals are centred on."""
-
-    table: _CellTable
-    work: EtaVector      # the statistic vector after the rank test and repair
-    perturbed: bool
-    tol: float           # the pseudo-inverse tolerance at ``work``
-    point: float         # the unclipped estimate, the map at ``work``
-
-
-def _centre(counts: ContingencyCounts, x: int, y: int, rank_tol: float) -> _Centre:
+def _centre(counts: ContingencyCounts, x: int, y: int,
+            rank_tol: float) -> tuple[_CellTable, _Map]:
+    """The full sample's cell table, and the map at its statistic vector
+    after the rank test and any repair: ``h[0]`` is the unclipped estimate
+    that both intervals are centred on."""
     k_w, k_e = counts.n_yxwe.shape[2:]
     table = _cell_table(counts, x, y, k_w, k_e)
-    ev = _evaluate(table.eta.values[None], k_w, k_e, rank_tol, repair=True)
-    if ev.errors:
-        raise ev.errors[0]
-    return _Centre(table, EtaVector(ev.values[0], k_w, k_e), bool(ev.perturbed[0]), ev.tol[0],
-                   float(ev.h[0]))
+    return table, _one(table.eta.values, k_w, k_e, rank_tol, repair=True)
 
 
 def _clip01(v: float) -> float:
@@ -445,18 +428,18 @@ def reduced_estimate(counts: ContingencyCounts, x: int, y: int, alpha: float = 0
     their counts.
     """
     check_alpha(alpha)
-    centre = _centre(counts, x, y, rank_tol)
-    point_u, n = centre.point, centre.table.n
-    kappa_hat = centre.table.eta.kappa_hat
-    scores = centre.table.profiles @ grad_h(centre.work, centre.tol)
-    weights = centre.table.counts / n
+    table, ev = _centre(counts, x, y, rank_tol)
+    point_u, n = float(ev.h[0]), table.n
+    kappa_hat = table.eta.kappa_hat
+    scores = table.profiles @ _gradient(ev)
+    weights = table.counts / n
     sigma_hat = math.sqrt(n / (n - 1) * float(weights @ (scores - weights @ scores) ** 2))
     half = sigma_hat / math.sqrt(n) * normal_quantile(1.0 - alpha / 2.0)
     lo_u, hi_u = point_u - half, point_u + half
     point = _clip01(point_u)
     lo, hi = _clip01(lo_u), _clip01(hi_u)
     flags = EstimateFlags(
-        rank_perturbed=centre.perturbed,
+        rank_perturbed=bool(ev.perturbed[0]),
         clipped_point=point != point_u,
         clipped_ci=(lo != lo_u) or (hi != hi_u),
     )
@@ -504,8 +487,8 @@ def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
     if n_boot < 2:
         raise ValidationError("n_boot must be at least 2")
     check_alpha(alpha)
-    centre = _centre(counts, x, y, rank_tol)
-    table, k_w, k_e = centre.table, centre.work.k_w, centre.work.k_e
+    table, centre = _centre(counts, x, y, rank_tol)
+    point, k_w, k_e = float(centre.h[0]), table.eta.k_w, table.eta.k_e
     probs = table.counts / table.n
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
@@ -520,5 +503,5 @@ def bootstrap_ci(counts: ContingencyCounts, x: int, y: int, n_boot: int,
             + ("; the interval needs at least two" if n_boot - failures < 2 else ""))
     sigma_boot = float(np.std(np.delete(ev.h, list(ev.errors)), ddof=1))
     half = sigma_boot * normal_quantile(1.0 - alpha / 2.0)
-    return BootstrapCI(_clip01(centre.point - half), _clip01(centre.point + half), sigma_boot,
+    return BootstrapCI(_clip01(point - half), _clip01(point + half), sigma_boot,
                        failures, int(ev.perturbed.sum()))

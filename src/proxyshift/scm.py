@@ -104,7 +104,7 @@ class ScmSpec:
 class ContingencyCounts:
     """Sufficient statistics: a ``(k_y, k_x, k_w, k_e)`` source count tensor,
     the target proxy counts and, only for counts drawn by
-    :func:`simulate_counts` in benchmark mode, the hidden ``(k_y, k_x, k_w)``
+    :func:`simulate_counts`, the hidden ``(k_y, k_x, k_w)``
     target cell counts that the target-scope baselines read.  The counts of
     disjoint record sets add."""
 
@@ -237,8 +237,8 @@ def simulate_records(spec: ScmSpec, n: int, rng: np.random.Generator) -> Records
     Each record draws ``E`` from the domain prior, ``U`` from its domain's
     confounder law (the target law when ``E`` is the target), then ``W``,
     ``X``, ``Y`` from their structural conditionals; ``U`` is discarded and
-    ``X, Y`` are dropped for target records.  :func:`simulate_counts` in
-    benchmark mode keeps their hidden cells for the target-scope baselines.
+    ``X, Y`` are dropped for target records.  :func:`simulate_counts` keeps
+    their hidden cells for the target-scope baselines.
     """
     d = spec.dims
     if n < 0:
@@ -277,19 +277,17 @@ def _cell_law(spec: ScmSpec) -> np.ndarray:
                      spec.p_x_given_u, u_cols, spec.domain_prior)
 
 
-def simulate_counts(spec: ScmSpec, n: int, rng: np.random.Generator,
-                    benchmark_mode: bool = False) -> ContingencyCounts:
+def simulate_counts(spec: ScmSpec, n: int, rng: np.random.Generator) -> ContingencyCounts:
     """The counts of ``n`` i.i.d. records of :func:`simulate_records`, drawn
     as one multinomial over the cells of :func:`_cell_law` without building
-    the records.  The full table is always drawn, so ``benchmark_mode`` only
-    decides whether the target's hidden ``(y, x, w)`` cells are kept."""
+    the records.  The target's hidden ``(y, x, w)`` cells are kept, for the
+    target-scope baselines."""
     if n < 0:
         raise ValidationError("n must be non-negative")
     law = _cell_law(spec)
     table = rng.multinomial(n, law.reshape(-1)).reshape(law.shape)
     target = table[..., -1]
-    return ContingencyCounts(table[..., :-1], target.sum(axis=(0, 1)),
-                             target if benchmark_mode else None)
+    return ContingencyCounts(table[..., :-1], target.sum(axis=(0, 1)), target)
 
 
 def interventional_counts(spec: ScmSpec, x: int, n: int,

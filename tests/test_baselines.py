@@ -63,8 +63,7 @@ class TestNoAdjustment:
     def test_target_scope_estimates_target_conditional(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2),
                                np.random.default_rng(41))
-        counts = simulate_counts(spec, 100_000, np.random.default_rng(42),
-                                 benchmark_mode=True)
+        counts = simulate_counts(spec, 100_000, np.random.default_rng(42))
         est = no_adjustment(counts, 0, 0, scope="target")
         assert abs(est - target_conditional(spec, 0, 0)) < 0.02
 
@@ -102,8 +101,7 @@ class TestWAdjustment:
         spec = type(spec)(dims, spec.p_u_given_e, spec.q_u, identity,
                           spec.p_x_given_u, spec.p_y_given_uwx,
                           spec.domain_prior, strict_support=False)
-        counts = simulate_counts(spec, 200_000, np.random.default_rng(44),
-                                 benchmark_mode=True)
+        counts = simulate_counts(spec, 200_000, np.random.default_rng(44))
         est = w_adjustment(counts, 0, 0, scope="target")
         assert abs(est - true_effect(spec, 0, 0)) < 0.01
 
@@ -112,7 +110,7 @@ class TestDistributionProperties:
     def test_estimates_sum_to_one_over_outcomes(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 3, 2, 3),
                                np.random.default_rng(45))
-        counts = simulate_counts(spec, 5000, np.random.default_rng(46), benchmark_mode=True)
+        counts = simulate_counts(spec, 5000, np.random.default_rng(46))
         for fn in (no_adjustment, w_adjustment):
             for scope in ("pooled", "target"):
                 total = sum(fn(counts, 0, y, scope) for y in range(3))

@@ -5,14 +5,13 @@ import pytest
 
 import proxyshift.bench as bench
 import proxyshift.scm as scm
-from proxyshift.bench import (ALL_ESTIMATORS, ExperimentConfig,
-                              accepted_model_candidates, derive_rng,
+from proxyshift.bench import (ALL_ESTIMATORS, CSV_HEADER, ExperimentConfig,
+                              ReplicateRecord, accepted_model_candidates, derive_rng,
                               run_baseline_comparison, run_coverage,
-                              run_point_error, run_runtime)
+                              run_point_error, run_runtime, write_records_csv)
 from proxyshift.categorical import CategorySpec
 from proxyshift.errors import (BootstrapError, EmptyCellError,
                                FilterExhaustedError, ValidationError)
-from proxyshift.fileio import write_records_csv
 
 
 def small_config(**overrides):
@@ -285,6 +284,26 @@ class TestCountSpace:
         monkeypatch.setattr(scm, "simulate_records", refuse)
         monkeypatch.setattr(scm, "count_records", refuse)
         study()
+
+
+class TestCsvFormat:
+    """The records CSV is built from the fields of ReplicateRecord; these
+    literals pin the format that existing files have."""
+
+    def test_header(self):
+        assert CSV_HEADER == ("model,dataset,estimator,x,y,estimate,truth,abs_error,"
+                              "kappa_true,kappa_hat,ci_lower,ci_upper,covered,boot_failed,"
+                              "boot_perturbed,wall_time_s,error")
+
+    def test_row(self):
+        record = ReplicateRecord(
+            model=3, dataset=1, estimator="reduced_boot", x=0, y=0, estimate=0.25,
+            truth=0.5, abs_error=None, kappa_true=12.5, kappa_hat=None, ci_lower=0.1,
+            ci_upper=0.4, covered=True, boot_failed=2, boot_perturbed=0,
+            wall_time_s=0.001, error="EmptyCellError: no records, at all\nin (x, e=1)")
+        assert record.to_csv_row() == ("3,1,reduced_boot,1,1,0.25,0.5,,12.5,,0.1,0.4,true,"
+                                       "2,0,0.001,EmptyCellError: no records; at all in "
+                                       "(x; e=1)")
 
 
 class TestRngDerivation:

@@ -300,7 +300,6 @@ class TestFitCausal:
         counts = ds
         theta, diag = fit_causal(counts, FitOptions(seed=2), k_u=2)
         assert diag.log_likelihood >= log_likelihood(theta_from_spec(spec), counts)
-        assert diag.improved
 
     def test_restarts_return_best(self):
         ds = simulate_dataset(well_conditioned_spec(), 2000,

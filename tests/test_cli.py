@@ -261,6 +261,14 @@ class TestEstimate:
         assert doc["bootstrap"]["b"] == 32
         assert doc["bootstrap"]["ci_lower"] <= doc["bootstrap"]["ci_upper"]
 
+    def test_bootstrap_block_keys(self, tmp_path):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--bootstrap", "16", "--seed", "3")
+        assert res.returncode == 0, res.stderr
+        assert set(json.loads(res.stdout)["bootstrap"]) == {
+            "ci_lower", "ci_upper", "sigma_boot", "b", "failed", "perturbed"}
+
     def test_bootstrap_block_reports_resample_counts(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")
         res = run_cli("estimate", "--data", str(data), "--dims", str(dims),

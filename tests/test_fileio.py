@@ -289,6 +289,16 @@ class TestDimsFiles:
         save_dims(dims, path)
         assert load_dims(path) == dims
 
+    def test_labelled_file_bytes(self, tmp_path):
+        # absent labels are left out and label tuples are written as lists
+        path = tmp_path / "dims.json"
+        save_dims(CategorySpec(2, 1, 3, 2, 2, labels_e=("north", "south"),
+                               labels_w=("lo", "mid", "hi")), path)
+        assert path.read_text() == (
+            '{\n  "k_e": 2,\n  "k_u": 1,\n  "k_w": 3,\n  "k_x": 2,\n  "k_y": 2,\n'
+            '  "labels_e": [\n    "north",\n    "south"\n  ],\n'
+            '  "labels_w": [\n    "lo",\n    "mid",\n    "hi"\n  ]\n}\n')
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "dims.json"
         path.write_text(json.dumps({"k_e": 2}))

@@ -157,10 +157,10 @@ class TestSimulateDataset:
                         assert abs(freq - p) < 4 * se
 
     def test_benchmark_mode_keeps_hidden_columns(self):
-        # the hidden target cells come from benchmark-mode counts; a record
+        # the hidden target cells come from simulated counts; a record
         # dataset never carries them
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(4))
-        counts = simulate_counts(spec, 500, np.random.default_rng(6), benchmark_mode=True)
+        counts = simulate_counts(spec, 500, np.random.default_rng(6))
         hidden = counts.n_yxw_target
         assert hidden.shape == (2, 2, 2)
         assert hidden.sum() == counts.n_tgt
@@ -173,7 +173,7 @@ class TestSimulateDataset:
 
 
 def full_table(counts: ContingencyCounts) -> np.ndarray:
-    """The ``(k_y, k_x, k_w, k_e + 1)`` counts of benchmark-mode counts, the
+    """The ``(k_y, k_x, k_w, k_e + 1)`` counts of simulated counts, the
     hidden target cells last, as :func:`scm._cell_law` orders them."""
     return np.concatenate([counts.n_yxwe, counts.n_yxw_target[..., None]], axis=3)
 
@@ -208,7 +208,7 @@ class TestSimulateCounts:
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 3), np.random.default_rng(7))
         reps, n = 400, 1000
         rng_counts, rng_records = np.random.default_rng(70), np.random.default_rng(71)
-        full = np.array([full_table(simulate_counts(spec, n, rng_counts, True))
+        full = np.array([full_table(simulate_counts(spec, n, rng_counts))
                          for _ in range(reps)])
         drawn = np.array([observed_table(t) for t in full])
         recorded = np.array([np.concatenate([ds.n_yxwe.ravel(), ds.n_w_target]) for ds in
@@ -226,28 +226,20 @@ class TestSimulateCounts:
 
     def test_benchmark_mode_only_keeps_the_hidden_table(self):
         spec = sample_scm_spec(CategorySpec(3, 2, 3, 2, 2), np.random.default_rng(4))
-        plain = simulate_counts(spec, 5000, np.random.default_rng(6))
-        kept = simulate_counts(spec, 5000, np.random.default_rng(6), benchmark_mode=True)
-        assert np.array_equal(plain.n_yxwe, kept.n_yxwe)
-        assert np.array_equal(plain.n_w_target, kept.n_w_target)
-        assert plain.n_yxw_target is None
+        kept = simulate_counts(spec, 5000, np.random.default_rng(6))
         assert np.array_equal(kept.n_yxw_target.sum(axis=(0, 1)), kept.n_w_target)
-        assert kept.n == plain.n == 5000
-        for fn in (no_adjustment, w_adjustment):
-            with pytest.raises(ValidationError):
-                fn(plain, 0, 0, scope="target")
+        assert kept.n == 5000
 
     def test_empty_and_negative_sizes(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(0))
-        counts = simulate_counts(spec, 0, np.random.default_rng(0), benchmark_mode=True)
+        counts = simulate_counts(spec, 0, np.random.default_rng(0))
         assert counts.n == 0 and counts.n_yxw_target.sum() == 0
         assert counts.n_yxwe.shape == (2, 2, 2, 2)
         with pytest.raises(ValidationError):
             simulate_counts(spec, -1, np.random.default_rng(0))
 
     def test_point_masses_force_every_count(self):
-        counts = simulate_counts(point_mass_spec(), 200, np.random.default_rng(5),
-                                 benchmark_mode=True)
+        counts = simulate_counts(point_mass_spec(), 200, np.random.default_rng(5))
         src = counts.n_yxwe[1, 0, 1]
         assert src.sum() == counts.n_src and counts.n_src > 0
         assert counts.n_w_target.tolist() == [0, counts.n_tgt]
@@ -256,8 +248,8 @@ class TestSimulateCounts:
 
     def test_reproducible_bit_for_bit(self):
         spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), np.random.default_rng(1))
-        a = simulate_counts(spec, 1000, np.random.default_rng(9), benchmark_mode=True)
-        b = simulate_counts(spec, 1000, np.random.default_rng(9), benchmark_mode=True)
+        a = simulate_counts(spec, 1000, np.random.default_rng(9))
+        b = simulate_counts(spec, 1000, np.random.default_rng(9))
         assert np.array_equal(full_table(a), full_table(b))
 
 
