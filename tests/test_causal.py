@@ -1,6 +1,7 @@
 """Mechanism MLE: softmax parametrisation, likelihood, gradient, fit, plug-in."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyshift.categorical import CategorySpec
-from proxyshift.causal import (FitOptions, ThetaParams, _objective, causal_estimate,
-                               fit_causal, g_of_theta, likelihood_gradient,
-                               log_likelihood)
+from proxyshift.bench import derive_rng
+from proxyshift.causal import (FitOptions, ThetaParams, _layout, _objective, _step,
+                               _trust_region, causal_estimate, fit_causal, g_of_theta,
+                               likelihood_gradient, log_likelihood)
 from proxyshift.errors import ValidationError
 from proxyshift.identify import causal_decomposition_effect
-from proxyshift.scm import (ContingencyCounts, sample_scm_spec, simulate_dataset,
-                            true_effect)
+from proxyshift.scm import (ContingencyCounts, sample_scm_spec, simulate_counts,
+                            simulate_dataset, true_effect)
 
 from conftest import (nonidentified_spec, softmax_mechanism, source_cells,
                       well_conditioned_spec)
@@ -262,6 +264,21 @@ class TestObjective:
         with pytest.raises(ValidationError, match="q_u"):
             _objective(counts, 2)(flat)
 
+    def test_a_zero_probability_cell_gives_an_infinite_objective(self):
+        # w_u and x_u logits of ±800 underflow p(w = 0, x = 0 | u) to 0 for
+        # both confounder levels, so every non-empty (w = 0, x = 0) cell has
+        # probability 0 and the likelihood is 0
+        counts = ContingencyCounts(np.full((2, 2, 2, 2), 10), np.array([5, 5]))
+        flat = np.zeros(30)
+        flat[8:12] = [800.0, -800.0, 800.0, -800.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, g = _objective(counts, 2)(flat)
+            f_c, *derivatives = _objective(counts, 2, curvature=True)(flat)
+            ll = log_likelihood(ThetaParams.from_flat(flat, 2, 2, 2, 2, 2), counts)
+        assert f == f_c == math.inf and ll == -math.inf
+        assert all(np.isnan(d).all() for d in [g, *derivatives])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
@@ -346,18 +363,168 @@ class TestFitCausal:
             assert tv < 0.01
 
     def test_accepted_steps_never_decrease_likelihood(self):
-        from scipy.optimize import minimize
-
         ds = simulate_dataset(well_conditioned_spec(), 5000,
                               np.random.default_rng(17))
-        objective = _objective(ds, 2)
+        objective = _objective(ds, 2, curvature=True)
         rng = np.random.default_rng([3, 0])  # same init law as the fitter
         x0 = rng.uniform(0.0, 1.0, size=30)
         trace = [-objective(x0)[0]]
-        minimize(objective, x0, method="L-BFGS-B", jac=True,
-                 callback=lambda xk: trace.append(-objective(xk)[0]))
-        diffs = np.diff(trace)
-        assert np.all(diffs >= -1e-9 * (1 + np.abs(trace[:-1])))
+        _, f, iterations, converged = _trust_region(
+            objective, x0, objective(x0), _layout(2, 2, 2, 2, 2), 500, 1e-8,
+            callback=lambda x, f: trace.append(-f))
+        assert converged and 1 < len(trace) <= iterations + 1
+        assert trace[-1] == -f
+        assert np.all(np.diff(trace) > 0)
+
+    def test_rejects_a_non_finite_trial_and_shrinks_the_radius(self):
+        # the first trial step lands where the likelihood is 0: it is not
+        # taken, and the next trial from the same point is shorter
+        ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(17))
+        objective = _objective(ds, 2, curvature=True)
+        x0 = np.random.default_rng([3, 0]).uniform(0.0, 1.0, size=30)
+        trials = []
+
+        def walled(x):
+            trials.append(x)
+            if len(trials) == 1:
+                nan = np.full((30, 30), np.nan)
+                return math.inf, nan[0], nan, nan
+            return objective(x)
+
+        layout = _layout(2, 2, 2, 2, 2)
+        _, f, _, converged = _trust_region(walled, x0, objective(x0), layout, 500, 1e-8)
+        _, f_free, _, _ = _trust_region(objective, x0, objective(x0), layout, 500, 1e-8)
+        assert np.linalg.norm(trials[1] - x0) < np.linalg.norm(trials[0] - x0)
+        assert converged
+        assert f == pytest.approx(f_free, rel=1e-12)
+
+    def test_reports_the_deviance_from_the_saturated_model(self):
+        # 2,2,2,2,2 with k_u = 2 has as many free logits as free cell
+        # probabilities, so a good fit reproduces the empirical cells
+        ds = simulate_dataset(well_conditioned_spec(), 20_000, np.random.default_rng(19))
+        _, diag = fit_causal(ds, FitOptions(seed=2), k_u=2)
+        n = ds.n_yxwe[ds.n_yxwe > 0].astype(float)
+        n_e = np.broadcast_to(ds.n_yxwe.sum(axis=(0, 1, 2)), ds.n_yxwe.shape)[ds.n_yxwe > 0]
+        n_w = ds.n_w_target[ds.n_w_target > 0].astype(float)
+        saturated = (n * np.log(n / n_e)).sum() + (n_w * np.log(n_w / ds.n_tgt)).sum()
+        assert diag.deviance == pytest.approx(2 * (saturated - diag.log_likelihood),
+                                              abs=1e-6)
+        assert abs(diag.deviance) < 1e-6
+        # one confounder level cannot mix the domains' tables
+        _, one = fit_causal(ds, FitOptions(seed=2), k_u=1)
+        assert one.deviance > 100
+
+    def test_a_poorly_fitting_start_does_not_crawl(self):
+        # from start 0 on this model, steps on the expected information alone
+        # ran to 50,000 iterations along a curved valley, ending at G² ≈ 592;
+        # the Hessian's curvature takes the fit to G² ≈ 0, as L-BFGS does
+        spec = sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), derive_rng(3681945886, 1, 19))
+        counts = simulate_counts(spec, 200_000, derive_rng(3681945886, 2, 19, 0))
+        _, diag = fit_causal(counts, FitOptions(), k_u=2)
+        assert diag.converged and diag.iterations < 500
+        assert diag.deviance < 1e-6
+
+class TestCurvature:
+    """The expected information and the Hessian that the trust region steps on."""
+
+    @staticmethod
+    def finite_difference_information(counts, flat, k_u):
+        """``Σ N/p ∂p ∂pᵀ`` over the cells, with ``∂p`` by central differences
+        of the einsum reference's cell probabilities."""
+        k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+
+        def cells(v):
+            probs = softmax_mechanism(ThetaParams.from_flat(v, k_u, k_e, k_w, k_x, k_y))
+            return np.concatenate([source_cells(probs).ravel(),
+                                   probs.p_w_given_u @ probs.q_u])
+
+        step = 1e-6
+        jac = np.empty((cells(flat).size, flat.size))
+        for i in range(flat.size):
+            hi, lo = flat.copy(), flat.copy()
+            hi[i] += step
+            lo[i] -= step
+            jac[:, i] = (cells(hi) - cells(lo)) / (2 * step)
+        sizes = np.concatenate([np.broadcast_to(counts.n_yxwe.sum(axis=(0, 1, 2)),
+                                                counts.n_yxwe.shape).ravel(),
+                                np.full(k_w, counts.n_tgt)])
+        return jac.T @ (jac * (sizes / cells(flat))[:, None])
+
+    @staticmethod
+    def finite_difference_hessian(objective, flat):
+        step = 1e-6
+        hess = np.empty((flat.size, flat.size))
+        for i in range(flat.size):
+            hi, lo = flat.copy(), flat.copy()
+            hi[i] += step
+            lo[i] -= step
+            hess[:, i] = (objective(hi)[1] - objective(lo)[1]) / (2 * step)
+        return hess
+
+    @pytest.mark.parametrize("dims, k_u", [((2, 2, 2, 2, 2), 2), ((3, 2, 3, 2, 2), 3),
+                                           ((1, 2, 2, 1, 3), 1), ((2, 1, 4, 3, 2), 2)])
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_matches_finite_differences(self, dims, k_u, n):
+        # n = 300 leaves cells empty
+        k_e, _, k_w, k_x, k_y = dims
+        rng = np.random.default_rng(sum(dims) + k_u + n)
+        counts = simulate_dataset(sample_scm_spec(CategorySpec(*dims), rng), n, rng)
+        flat = random_theta(rng, k_u, k_e, k_w, k_x, k_y).flatten()
+        plain = _objective(counts, k_u)
+        f, g, info, hess = _objective(counts, k_u, curvature=True)(flat)
+        f_plain, g_plain = plain(flat)
+        assert f == f_plain and np.array_equal(g, g_plain)
+        for got, want in ((info, self.finite_difference_information(counts, flat, k_u)),
+                          (hess, self.finite_difference_hessian(plain, flat))):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+            np.testing.assert_array_equal(got, got.T)
+
+    def test_is_singular_along_the_softmax_shifts(self):
+        rng = np.random.default_rng(29)
+        counts = random_counts(rng, CategorySpec(2, 2, 2, 2, 2))
+        flat = random_theta(rng, 2, 2, 2, 2, 2).flatten()
+        _, _, info, hess = _objective(counts, 2, curvature=True)(flat)
+        layout = _layout(2, 2, 2, 2, 2)
+        for members in np.split(layout.perm, layout.starts[1:]):
+            shift = np.zeros(30)
+            shift[members] = 1.0
+            for matrix in (info, hess):
+                assert np.max(np.abs(matrix @ shift)) <= 1e-12 * np.max(np.abs(matrix))
+
+    def test_layout_is_built_once_and_read_only(self):
+        layout = _layout(2, 3, 2, 4, 3)
+        assert _layout(2, 3, 2, 4, 3) is layout
+        for arr in layout:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestStep:
+    """The trust-region subproblem, in the model's eigenbasis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_no_point_of_the_ball_is_lower(self, size, seed, hard):
+        rng = np.random.default_rng(seed)
+        lam = rng.normal(size=size) * 10.0 ** rng.uniform(-2, 2, size=size)
+        g = rng.normal(size=size)
+        if hard:
+            # no gradient along the lowest eigenvalue, made negative
+            lam[np.argmin(lam)] = -abs(lam.min()) - 0.1
+            g[np.argmin(lam)] = 0.0
+        radius = 10.0 ** rng.uniform(-2, 2)
+        step = _step(lam, g, radius)
+
+        def model(s):
+            return s @ g + 0.5 * (lam * s * s).sum(axis=-1)
+
+        assert np.linalg.norm(step) <= radius * (1 + 1e-9)
+        points = rng.normal(size=(4000, size))
+        points *= (radius * rng.uniform(0, 1, size=(4000, 1)) ** (1 / size)
+                   / np.linalg.norm(points, axis=1, keepdims=True))
+        points[:1000] *= radius / np.linalg.norm(points[:1000], axis=1, keepdims=True)
+        assert model(step) <= model(points).min() + 1e-9 * max(1.0, abs(model(step)))
 
 
 class TestGOfTheta:
@@ -435,7 +602,8 @@ class TestCausalEstimate:
         assert est.fit.log_likelihood == pytest.approx(
             log_likelihood(fit_causal(ds, FitOptions(seed=1), k_u=2)[0], ds), rel=1e-12)
         assert est.to_dict()["fit"] == {"converged": True, "iterations": est.fit.iterations,
-                                        "log_likelihood": est.fit.log_likelihood}
+                                        "log_likelihood": est.fit.log_likelihood,
+                                        "deviance": est.fit.deviance}
 
     def test_reports_a_fit_that_did_not_converge(self):
         ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(22))

@@ -35,7 +35,7 @@ def simulate_fixture(tmp_path, seed=7, n=400):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported by the two calls that need it, not at start-up
+    # the package imports nothing from scipy; the tests use it as a reference
     res = subprocess.run(
         [sys.executable, "-c",
          "import sys, proxyshift.cli; "
@@ -69,7 +69,7 @@ def main_and_scipy_modules(argv) -> str:
 
 
 @pytest.mark.parametrize("extra", [["--method", "reduced", "--bootstrap", "20"],
-                                   ["--method", "noadj"]])
+                                   ["--method", "noadj"], ["--method", "causal"]])
 def test_estimate_never_loads_scipy(tmp_path, extra):
     _, data, dims = simulate_fixture(tmp_path)
     out = tmp_path / "est.json"
@@ -309,9 +309,10 @@ class TestEstimate:
                       "--x", "1", "--y", "1", "--method", "causal")
         assert res.returncode == 0, res.stderr
         fit = json.loads(res.stdout)["fit"]
-        assert set(fit) == {"converged", "iterations", "log_likelihood"}
+        assert set(fit) == {"converged", "iterations", "log_likelihood", "deviance"}
         assert fit["converged"] is True
         assert fit["iterations"] >= 1 and fit["log_likelihood"] < 0
+        assert fit["deviance"] >= -1e-6
 
     @pytest.mark.parametrize("method", ["reduced", "noadj"])
     def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, method):
