@@ -214,8 +214,7 @@ def _row(shared: dict, estimator: str, kappa_hat: float | None,
 
 
 def _replicate_task(args) -> list[ReplicateRecord]:
-    config, model_idx, candidate, dataset_idx = args
-    spec = _model_for(config, candidate)
+    config, model_idx, candidate, spec, dataset_idx = args
     shared = _shared_fields(config, spec, model_idx, dataset_idx)
     ds = simulate_counts(spec, config.n_samples,
                          derive_rng(config.master_seed, _SALT_DATA, candidate, dataset_idx))
@@ -254,26 +253,34 @@ def _run_tasks(config: ExperimentConfig, task_fn, tasks) -> list[ReplicateRecord
 def run_point_error(config: ExperimentConfig) -> list[ReplicateRecord]:
     """Estimation error study across random models and datasets, with true
     and estimated condition numbers per replicate."""
-    tasks = [(config, m, m, d)
-             for m in range(config.n_models) for d in range(config.n_datasets)]
+    specs = [_model_for(config, m) for m in range(config.n_models)]
+    tasks = [(config, m, m, spec, d)
+             for m, spec in enumerate(specs) for d in range(config.n_datasets)]
     return _run_tasks(config, _replicate_task, tasks)
 
 
-def accepted_model_candidates(config: ExperimentConfig) -> list[int]:
-    """Indices of model draws passing the confounding filter
-    ``|q(y|do(x)) - q(y|x)| > threshold`` (an exact model property)."""
+def _accepted_models(config: ExperimentConfig) -> list[tuple[int, ScmSpec]]:
+    """The model draws passing the confounding filter
+    ``|q(y|do(x)) - q(y|x)| > threshold`` (an exact model property), each with
+    its candidate index."""
     accepted = []
     for candidate in range(config.model_draw_budget):
         spec = _model_for(config, candidate)
         gap = abs(true_effect(spec, config.x, config.y)
                   - target_conditional(spec, config.x, config.y))
         if gap > config.confound_threshold:
-            accepted.append(candidate)
+            accepted.append((candidate, spec))
             if len(accepted) == config.n_models:
                 return accepted
     raise FilterExhaustedError(
         f"only {len(accepted)}/{config.n_models} model draws passed the "
         f"confounding filter within the budget of {config.model_draw_budget}")
+
+
+def accepted_model_candidates(config: ExperimentConfig) -> list[int]:
+    """Indices of model draws passing the confounding filter
+    ``|q(y|do(x)) - q(y|x)| > threshold`` (an exact model property)."""
+    return [candidate for candidate, _ in _accepted_models(config)]
 
 
 def run_baseline_comparison(config: ExperimentConfig) -> list[ReplicateRecord]:
@@ -283,9 +290,8 @@ def run_baseline_comparison(config: ExperimentConfig) -> list[ReplicateRecord]:
     filter; the filter uses exact population quantities, not estimates.
     """
     cfg = replace(config, estimators=ALL_ESTIMATORS)
-    candidates = accepted_model_candidates(cfg)
-    tasks = [(cfg, m, c, d)
-             for m, c in enumerate(candidates) for d in range(cfg.n_datasets)]
+    tasks = [(cfg, m, c, spec, d) for m, (c, spec) in enumerate(_accepted_models(cfg))
+             for d in range(cfg.n_datasets)]
     return _run_tasks(cfg, _replicate_task, tasks)
 
 

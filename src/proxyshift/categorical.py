@@ -41,6 +41,12 @@ def validate_stochastic(matrix, tol: float = COLUMN_SUM_TOL,
     otherwise returns a report naming the first offending entry or column.
     """
     m = _as_matrix(matrix)
+    sums = m.sum(axis=0)
+    low = m.min()
+    # a valid matrix returns here; the report is built only for a failure (a
+    # NaN fails every comparison, so it takes the checks below)
+    if (low > 0.0 if strict_positive else low >= 0.0) and np.abs(sums - 1.0).max() <= tol:
+        return None
     if strict_positive:
         bad = np.argwhere(m <= 0.0)
         if bad.size:
@@ -51,7 +57,6 @@ def validate_stochastic(matrix, tol: float = COLUMN_SUM_TOL,
         if bad.size:
             i, j = bad[0]
             return f"entry ({i}, {j}) is {float(m[i, j])!r}, must be non-negative"
-    sums = m.sum(axis=0)
     off = np.abs(sums - 1.0) > tol
     if off.any():
         j = int(np.argmax(off))

@@ -7,12 +7,16 @@ confounder.  The fit is an exact trust-region iteration on the analytic
 gradient, the expected information ``I = Jᵀ diag(N/p) J`` and the Hessian
 (``J`` is the Jacobian of the observed cell probabilities ``p`` with respect
 to the logits, ``N`` the size of each cell's multinomial); each step takes
-whichever of ``I`` and the Hessian modelled the last step better.  The
-causal effect is then read off the fitted mechanism by the decomposition
-``sum_u q_u sum_w p(y|u,w,x) p(w|u)`` (:func:`proxyshift.scm.effect_given_u`);
-unlike the plug-in estimator it is a convex combination of probabilities, so
-no clipping is ever needed.  The fit and :func:`log_likelihood` evaluate the
-one likelihood, :func:`_objective`.
+whichever of ``I`` and the Hessian modelled the last step better.  A trial
+step costs one evaluation of the likelihood; the derivatives are built at
+accepted points only, and the model is eigendecomposed on the logit
+directions that move the softmax outputs, ``dim`` minus the number of
+softmax groups of them.  The causal effect is then read off the fitted
+mechanism by the decomposition ``sum_u q_u sum_w p(y|u,w,x) p(w|u)``
+(:func:`proxyshift.scm.effect_given_u`); unlike the plug-in estimator it is
+a convex combination of probabilities, so no clipping is ever needed.  The
+fit and :func:`log_likelihood` evaluate the one likelihood,
+:func:`_objective`, whose points also give ``I`` at the fitted logits.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ class FitOptions:
     """Settings for the mechanism fit.
 
     ``max_iterations`` caps the trust-region steps tried per start, accepted
-    or not.  Each costs one evaluation of the likelihood, its gradient, the
-    expected information and the Hessian, and at most one symmetric
-    eigendecomposition: O(dim³) time in the number of logits and O(dim²)
-    memory.
+    or not.  Each trial costs one evaluation of the likelihood.  An accepted
+    step adds the gradient, the one curvature matrix (expected information
+    or Hessian) that the model uses, and one symmetric eigendecomposition of
+    size ``dim`` minus the number of softmax groups; the other matrix is
+    built only when a poor step asks which of the two modelled it better.
+    That is O(dim³) time in the number of logits and O(dim²) memory.
     A start has converged when the largest gradient entry of the negative
     log-likelihood is at most ``gradient_tol``, or when the next step's
     predicted decrease is below the rounding error of the negative
@@ -120,16 +126,23 @@ class _Layout(NamedTuple):
 
     offsets: np.ndarray      # start of each block in the flat logit vector
     perm: np.ndarray         # flat index of each logit, softmax groups contiguous
+    unperm: np.ndarray       # the inverse of ``perm``
     starts: np.ndarray       # start of each softmax group in ``perm`` order
     group: np.ndarray        # softmax group of each position in ``perm`` order
     jacobian: np.ndarray     # (cell row, ``perm`` column) of each Jacobian entry, raveled
     mixed: np.ndarray        # (``perm``, ``perm``) of each mixed second derivative, raveled
-    shift: np.ndarray        # (flat, flat) of each pair within one softmax group, raveled
-    shift_weight: np.ndarray  # 1 / size of that pair's group
+    pairs: np.ndarray        # (``perm``, ``perm``) of each pair within one softmax group, raveled
+    basis: np.ndarray        # (flat, contrast): orthonormal, orthogonal to every softmax shift
 
     @property
     def dim(self) -> int:
         return int(self.offsets[-1])
+
+
+def _helmert(k: int) -> np.ndarray:
+    """The ``(k, k - 1)`` Helmert contrasts: orthonormal columns that each sum to 0."""
+    i, j = np.arange(k)[:, None], np.arange(1, k)
+    return ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1.0))
 
 
 @functools.lru_cache
@@ -143,7 +156,12 @@ def _layout(k_y: int, k_x: int, k_w: int, k_e: int, k_u: int) -> _Layout:
     softmax outputs and a target cell of two; ``jacobian`` lists the cells'
     first derivatives by those outputs, and ``mixed`` the pairs of outputs
     that share a product, block pair by block pair, in the order
-    :func:`_objective` lays out their values.
+    :class:`_Point` lays out their values.
+
+    Adding a constant to one group's logits leaves every softmax output
+    unchanged, so the likelihood is flat along those shift directions, one
+    per group.  ``basis`` spans the rest: the Helmert contrasts of each group,
+    ``dim`` minus the number of groups columns in all.
     """
     blocks = ((k_u, k_e), (k_u, 1), (k_w, k_u), (k_x, k_u), (k_y, k_u * k_w * k_x))
     offsets = np.cumsum([0] + [k_out * k_cols for k_out, k_cols in blocks])
@@ -169,89 +187,122 @@ def _layout(k_y: int, k_x: int, k_w: int, k_e: int, k_u: int) -> _Layout:
                                       (at_w, at_y), (at_x, at_y), (at_q, at_w))]
 
     members = np.split(perm, starts[1:])
-    shift = np.concatenate([np.add.outer(m * dim, m).ravel() for m in members])
-    shift_weight = np.repeat(1.0 / group_sizes, group_sizes ** 2)
-    layout = _Layout(offsets, perm, starts, group,
+    pairs = np.concatenate([np.add.outer(i * dim, i).ravel()
+                            for i in np.split(np.arange(dim), starts[1:])])
+    basis = np.zeros((dim, dim - group_sizes.size))
+    columns = np.cumsum([0] + [k - 1 for k in group_sizes])
+    for m, lo, hi in zip(members, columns[:-1], columns[1:]):
+        basis[m, lo:hi] = _helmert(m.size)
+    layout = _Layout(offsets, perm, np.argsort(perm), starts, group,
                      np.concatenate([j.ravel() for j in jacobian]),
-                     np.concatenate([m.ravel() for m in mixed]), shift, shift_weight)
+                     np.concatenate([m.ravel() for m in mixed]), pairs, basis)
     for arr in layout:
         arr.flags.writeable = False
     return layout
 
 
-def _objective(counts: ContingencyCounts, k_u: int, curvature: bool = False):
-    """The negative log-likelihood and its gradient as ``f(flat) -> (nll, grad)``
-    over the flat logit vector (the layout of :meth:`ThetaParams.flatten`);
-    with ``curvature`` it returns ``(nll, grad, I, H)``: the expected
-    information ``I = Jᵀ diag(N/p) J`` and the Hessian ``H`` of ``nll``.
+class _Cells(NamedTuple):
+    """What the likelihood reads of one count table, built once per fit: the
+    observed cells are the source cells in (w, x, y, e) order, then the target
+    proxy cells."""
 
-    ``J`` is the Jacobian of the cell probabilities ``p`` by the logits and
-    ``N`` the size of each cell's multinomial (``n_e`` for a source cell of
-    domain e, ``n_T`` for a target cell).  ``H`` is ``Jᵀ diag(n/p²) J`` less
-    the cells' second derivatives weighted by ``n/p``; it equals ``I`` where
-    the fit reproduces the observed counts ``n``.
+    layout: _Layout
+    dims: tuple[int, int, int, int, int]  # k_y, k_x, k_w, k_e, k_u
+    nonempty: np.ndarray  # the index of each non-empty cell
+    weights: np.ndarray   # its count
+    sizes: np.ndarray     # the size N of every cell's multinomial
+
+
+def _objective(counts: ContingencyCounts, k_u: int):
+    """The negative log-likelihood as ``f(flat) -> _Point`` over the flat
+    logit vector (the layout of :meth:`ThetaParams.flatten`).
 
     Everything that depends only on the counts is built here, once per fit,
-    and the index arrays of the dimensions once per process.  Only non-empty
-    cells enter the likelihood, so ``0 * log 0`` is 0.  At a point where a
-    non-empty cell's probability underflows to 0 the likelihood is 0: ``nll``
-    is ``+inf`` and the derivatives are NaN.
+    and the index arrays of the dimensions once per process.
     """
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
-    n_cells = k_w * k_x * k_y
-    layout = _layout(k_y, k_x, k_w, k_e, k_u)
-    offsets, perm, starts, group = layout.offsets, layout.perm, layout.starts, layout.group
-    dim = layout.dim
-    # source cells in (w, x, y, e) order, then the target proxy cells
     observed = np.concatenate([counts.n_yxwe.transpose(2, 1, 0, 3).ravel(),
                                counts.n_w_target]).astype(float)
-    cells = np.flatnonzero(observed)
-    weights = observed[cells]
-    sizes = np.concatenate([np.tile(counts.n_yxwe.sum(axis=(0, 1, 2)), n_cells),
+    nonempty = np.flatnonzero(observed)
+    sizes = np.concatenate([np.tile(counts.n_yxwe.sum(axis=(0, 1, 2)), k_w * k_x * k_y),
                             np.full(k_w, counts.n_w_target.sum())]).astype(float)
-    probs = np.empty(observed.size)
-    ratios = np.zeros(observed.size)
-    m, q_w = probs[:-k_w].reshape(n_cells, k_e), probs[-k_w:]
-    r_m, r_w = ratios[:-k_w].reshape(n_cells, k_e), ratios[-k_w:]
-    r_4 = r_m.reshape(k_w, k_x, k_y, k_e)
-    sl_a, sl_q, sl_w, sl_x, sl_y = (slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:]))
-    shift_rows, shift_cols = np.divmod(layout.shift, dim)
-    unperm = np.argsort(perm)
+    cells = _Cells(_layout(k_y, k_x, k_w, k_e, k_u), (k_y, k_x, k_w, k_e, k_u),
+                   nonempty, observed[nonempty], sizes)
+    return functools.partial(_Point, cells)
 
-    def chain(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """``rows`` (derivatives by the softmax outputs) times the softmax
-        Jacobian, one group at a time."""
-        return p * (rows - np.add.reduceat(rows * p, starts, axis=-1)[..., group])
 
-    def to_flat(matrix: np.ndarray) -> np.ndarray:
-        return matrix.take(unperm, axis=0).take(unperm, axis=1)
+class _Point:
+    """The objective at the flat logits ``x``.
 
-    def f(flat: np.ndarray):
-        if flat.shape != (dim,):
-            raise ValidationError(f"flat parameter vector has size {flat.size}, "
-                                  f"expected {dim}")
-        if not np.isfinite(flat).all():
-            first = np.flatnonzero(~np.isfinite(flat))[0]
+    ``value``, the negative log-likelihood, is computed on construction.  The
+    gradient ``grad``, the expected information ``info = Jᵀ diag(N/p) J`` and
+    the Hessian ``hess`` are each computed on first read, from the softmax
+    outputs and cell probabilities kept from the value.  ``J`` is the Jacobian
+    of the cell probabilities ``p`` by the logits and ``N`` the size of each
+    cell's multinomial (``n_e`` for a source cell of domain e, ``n_T`` for a
+    target cell).  ``hess`` is ``Jᵀ diag(n/p²) J`` less the cells' second
+    derivatives weighted by ``n/p``; it equals ``info`` where the fit
+    reproduces the observed counts ``n``.
+
+    Only non-empty cells enter the likelihood, so ``0 * log 0`` is 0.  At a
+    point where a non-empty cell's probability underflows to 0 the likelihood
+    is 0: ``value`` is ``+inf`` and the derivatives are NaN.
+    """
+
+    def __init__(self, cells: _Cells, x: np.ndarray):
+        layout = cells.layout
+        offsets, starts, group = layout.offsets, layout.starts, layout.group
+        if x.shape != (layout.dim,):
+            raise ValidationError(f"flat parameter vector has size {x.size}, "
+                                  f"expected {layout.dim}")
+        if not np.isfinite(x).all():
+            first = np.flatnonzero(~np.isfinite(x))[0]
             block = _BLOCK_NAMES[np.searchsorted(offsets, first, side="right") - 1]
             raise ValidationError(f"non-finite logits in block {block}")
-        z = flat[perm]
+        k_y, k_x, k_w, k_e, k_u = cells.dims
+        z = x[layout.perm]
         z -= np.maximum.reduceat(z, starts)[group]
         p = np.exp(z)
         p /= np.add.reduceat(p, starts)[group]
-        a_t, q_u = p[sl_a].reshape(k_e, k_u), p[sl_q]
-        w_t, x_t = p[sl_w].reshape(k_u, k_w), p[sl_x].reshape(k_u, k_x)
-        y_t = p[sl_y].reshape(k_u, k_w, k_x, k_y)
+        a_t, q_u, w_t, x_t, y_t = (p[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+        a_t, w_t, x_t = a_t.reshape(k_e, k_u), w_t.reshape(k_u, k_w), x_t.reshape(k_u, k_x)
+        y_t = y_t.reshape(k_u, k_w, k_x, k_y)
         # t[u, (w, x, y)] = p(y | u, w, x) p(w | u) p(x | u); m = tᵀ p(u | e)
         wx = w_t[:, :, None, None] * x_t[:, None, :, None]
-        t = (y_t * wx).reshape(k_u, n_cells)
-        np.matmul(t.T, a_t.T, out=m)
-        np.matmul(w_t.T, q_u, out=q_w)
-        seen = probs[cells]
-        if not seen.all():
-            nan = np.full((dim, dim), np.nan)
-            return (math.inf, nan[0], nan, nan) if curvature else (math.inf, nan[0])
-        ll = float(weights @ np.log(seen))
-        ratios[cells] = weights / seen
+        t = (y_t * wx).reshape(k_u, -1)
+        probs = np.empty(cells.sizes.size)
+        np.matmul(t.T, a_t.T, out=probs[:-k_w].reshape(-1, k_e))
+        np.matmul(w_t.T, q_u, out=probs[-k_w:])
+        seen = probs[cells.nonempty]
+        self.value = -float(cells.weights @ np.log(seen)) if seen.all() else math.inf
+        self.x, self._cells, self._p, self._probs = x, cells, p, probs
+        self._blocks = a_t, q_u, w_t, x_t, y_t, wx, t
+
+    @functools.cached_property
+    def _softmax(self) -> np.ndarray:
+        """The softmax Jacobian by the logits, in ``perm`` order: ``diag(p) - p pᵀ``
+        within each group, so that derivatives by the softmax outputs times it
+        are derivatives by the logits."""
+        pairs, p = self._cells.layout.pairs, self._p
+        jacobian = np.zeros((p.size, p.size))
+        jacobian.flat[pairs] = -np.outer(p, p).flat[pairs]
+        jacobian.flat[::p.size + 1] += p
+        return jacobian
+
+    def _to_flat(self, matrix: np.ndarray) -> np.ndarray:
+        unperm = self._cells.layout.unperm
+        return matrix.take(unperm, axis=0).take(unperm, axis=1)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        cells, layout, p = self._cells, self._cells.layout, self._p
+        k_y, k_x, k_w, k_e, k_u = cells.dims
+        if self.value == math.inf:
+            return np.full(layout.dim, np.nan)
+        a_t, q_u, w_t, x_t, y_t, wx, t = self._blocks
+        ratios = np.zeros(self._probs.size)
+        ratios[cells.nonempty] = cells.weights / self._probs[cells.nonempty]
+        r_m, r_w = ratios[:-k_w].reshape(-1, k_e), ratios[-k_w:]
         g_a = r_m.T @ t.T                                   # (k_e, k_u)
         g_t = (a_t.T @ r_m.T).reshape(k_u, k_w, k_x, k_y)
         g_wx = (g_t * y_t).sum(axis=3)                      # (k_u, k_w, k_x)
@@ -259,28 +310,57 @@ def _objective(counts: ContingencyCounts, k_u: int, curvature: bool = False):
         g_x = (g_wx * w_t[:, :, None]).sum(axis=1)
         g = np.concatenate([g_a.ravel(), w_t @ r_w, g_w.ravel(), g_x.ravel(),
                             (g_t * wx).ravel()])
-        grad = np.empty(dim)
-        grad[perm] = -chain(g, p)
-        if not curvature:
-            return -ll, grad
+        # times the softmax Jacobian, one group at a time: for one vector
+        # that is cheaper than building ``_softmax``
+        grad = np.empty(layout.dim)
+        grad[layout.perm] = -p * (g - np.add.reduceat(g * p, layout.starts)[layout.group])
+        self._ratios, self._g_t, self._g_wx = ratios, g_t, g_wx  # for the Hessian
+        return grad
+
+    @functools.cached_property
+    def _jacobian(self) -> np.ndarray:
+        """``J`` with its columns in ``perm`` order."""
+        layout = self._cells.layout
+        k_y, k_x, k_w, k_e, k_u = self._cells.dims
+        a_t, q_u, w_t, x_t, y_t, wx, t = self._blocks
         # the cells' derivatives by the softmax outputs, in the order of
         # ``layout.jacobian``: a source cell (w, x, y, e) by p(u | e),
         # p(y | u, w, x), p(w | u) and p(x | u); a target cell w by q_u and p(w | u)
         y_x, y_w = y_t * x_t[:, None, :, None], y_t * w_t[:, :, None, None]
-        by_ywx = np.concatenate([np.repeat(wx, k_y, axis=3), y_x, y_w]).reshape(3, k_u, n_cells)
+        by_ywx = np.concatenate([np.repeat(wx, k_y, axis=3), y_x, y_w]).reshape(3, k_u, -1)
         values = np.concatenate([
             np.repeat(t.T, k_e, axis=0).ravel(),
             (by_ywx.transpose(0, 2, 1)[:, :, None, :] * a_t).ravel(),
             w_t.T.ravel(), np.tile(q_u, k_w)])
-        jac = np.zeros(probs.size * dim)
+        jac = np.zeros(self._probs.size * layout.dim)
         jac[layout.jacobian] = values
-        jac = chain(jac.reshape(probs.size, dim), p)
-        expected = jac * np.sqrt(np.divide(sizes, probs, out=np.zeros(probs.size),
-                                           where=probs > 0))[:, None]
-        empirical = jac * np.sqrt(np.divide(ratios, probs, out=np.zeros(probs.size),
-                                            where=ratios > 0))[:, None]
+        return jac.reshape(self._probs.size, layout.dim) @ self._softmax
+
+    @functools.cached_property
+    def info(self) -> np.ndarray:
+        dim, probs = self._cells.layout.dim, self._probs
+        if self.value == math.inf:
+            return np.full((dim, dim), np.nan)
+        expected = self._jacobian * np.sqrt(np.divide(
+            self._cells.sizes, probs, out=np.zeros(probs.size), where=probs > 0))[:, None]
+        return self._to_flat(expected.T @ expected)
+
+    @functools.cached_property
+    def hess(self) -> np.ndarray:
+        layout, probs = self._cells.layout, self._probs
+        dim = layout.dim
+        if self.value == math.inf:
+            return np.full((dim, dim), np.nan)
+        k_y, k_x, k_w, k_e, k_u = self._cells.dims
+        a_t, q_u, w_t, x_t, y_t, wx, t = self._blocks
+        grad = self.grad
+        ratios, g_t, g_wx = self._ratios, self._g_t, self._g_wx
+        r_4, r_w = ratios[:-k_w].reshape(k_w, k_x, k_y, k_e), ratios[-k_w:]
+        empirical = self._jacobian * np.sqrt(np.divide(
+            ratios, probs, out=np.zeros(probs.size), where=ratios > 0))[:, None]
         # the cells' mixed second derivatives by pairs of softmax outputs,
         # weighted by n/p and summed, in the order of ``layout.mixed``
+        y_x, y_w = y_t * x_t[:, None, :, None], y_t * w_t[:, :, None, None]
         u_last = (1, 2, 3, 0)
         values = np.concatenate([
             np.einsum("wxye,uwxy->weu", r_4, y_x).ravel(),
@@ -290,22 +370,19 @@ def _objective(counts: ContingencyCounts, k_u: int, curvature: bool = False):
             (g_t * x_t[:, None, :, None]).transpose(u_last).ravel(),
             (g_t * w_t[:, :, None, None]).transpose(u_last).ravel(),
             np.repeat(r_w, k_u)])
-        mixed = np.zeros(dim * dim)
-        mixed[layout.mixed] = values
-        mixed = chain(chain(mixed.reshape(dim, dim), p).T, p)
-        hess = to_flat(empirical.T @ empirical - mixed - mixed.T)
+        mixed = np.zeros((dim, dim))
+        mixed.flat[layout.mixed] = values
+        mixed = self._softmax @ mixed.T @ self._softmax  # by the logits
+        hess = empirical.T @ empirical - (mixed + mixed.T)
         # the softmax's own curvature, within each group
-        p_flat = np.empty(dim)
-        p_flat[perm] = p
-        hess.flat[layout.shift] -= (grad[shift_rows] * p_flat[shift_cols]
-                                    + p_flat[shift_rows] * grad[shift_cols])
-        hess.flat[::dim + 1] += grad
-        return -ll, grad, to_flat(expected.T @ expected), hess
-
-    return f
+        g_perm = grad[layout.perm]
+        curvature = np.outer(g_perm, self._p)
+        hess.flat[layout.pairs] -= (curvature + curvature.T).flat[layout.pairs]
+        hess.flat[::dim + 1] += g_perm
+        return self._to_flat(hess)
 
 
-def _evaluate(theta: ThetaParams, counts: ContingencyCounts) -> tuple[float, np.ndarray]:
+def _evaluate(theta: ThetaParams, counts: ContingencyCounts) -> _Point:
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     if theta.u_e.shape[1] != k_e or theta.y_uwx.shape != (k_y, theta.k_u, k_w, k_x):
         raise ValidationError("logit blocks do not match the count table's dimensions")
@@ -315,12 +392,12 @@ def _evaluate(theta: ThetaParams, counts: ContingencyCounts) -> tuple[float, np.
 def log_likelihood(theta: ThetaParams, counts: ContingencyCounts) -> float:
     """Observed-data log-likelihood, conditional on the domain labels; empty
     cells contribute nothing (``0 * log 0`` is 0)."""
-    return -_evaluate(theta, counts)[0]
+    return -_evaluate(theta, counts).value
 
 
 def likelihood_gradient(theta: ThetaParams, counts: ContingencyCounts) -> np.ndarray:
     """Analytic gradient of the log-likelihood with respect to the logits."""
-    return -_evaluate(theta, counts)[1]
+    return -_evaluate(theta, counts).grad
 
 
 def _saturated_log_likelihood(counts: ContingencyCounts) -> float:
@@ -336,12 +413,11 @@ def _saturated_log_likelihood(counts: ContingencyCounts) -> float:
     return total
 
 
-def _trust_region(objective, x: np.ndarray, start: tuple, layout: _Layout,
-                  max_iterations: int, gradient_tol: float,
-                  callback=None) -> tuple[np.ndarray, float, int, bool]:
-    """Minimise ``objective(x) -> (f, grad, I, H)`` from ``x``, where it is
-    ``start``, by an exact trust-region iteration; returns the last accepted
-    point, its value, the steps tried and whether it converged.
+def _trust_region(objective, point: _Point, layout: _Layout, max_iterations: int,
+                  gradient_tol: float, callback=None) -> tuple[_Point, int, bool]:
+    """Minimise ``objective(x) -> _Point`` from ``point`` by an exact
+    trust-region iteration; returns the last accepted point, the steps tried
+    and whether it converged.
 
     The model is ``f + gᵀs + sᵀBs / 2``, with ``B`` the expected information
     ``I`` at first.  After a trial step that achieved less than a quarter of
@@ -351,49 +427,56 @@ def _trust_region(objective, x: np.ndarray, start: tuple, layout: _Layout,
     positive semi-definite and the better model far from a fit, and ``H``
     has the curvature that ``I`` lacks where the fit does not reproduce the
     counts.  Both are singular along the softmax shift directions, where
-    the gradient has no component, so the shift projector (scaled to ``I``) is
-    added before the eigendecomposition; what stays numerically singular is
-    dropped, as a pseudo-inverse would.  A step is accepted when it decreases
-    ``f``, so the accepted values never increase; a trial whose value or
-    derivatives are not finite is rejected and the radius shrunk.
-    ``callback(x, f)`` sees each accepted point.
+    the gradient has no component, so the model lives on the contrast basis
+    ``Q = layout.basis`` of the rest: :func:`_eigenmodel` eigendecomposes
+    ``Qᵀ B Q``, of size ``dim`` minus the number of softmax groups.
+
+    A trial step costs one evaluation of ``f``.  A step is accepted when it
+    decreases ``f``, so the accepted values never increase.  An accepted
+    point adds its gradient and the matrix the model uses; the other matrix
+    is built only where a poor step needs the comparison.  A trial whose
+    value, gradient or model matrix is not finite is rejected and the radius
+    shrunk.  ``callback(x, f)`` sees each accepted point.
     """
     eps = np.finfo(float).eps
-    f, g, info, hess = start
-    if not all(np.isfinite(v).all() for v in start):
-        return x, f, 0, False
+
+    def finite(p: _Point, expected: bool) -> bool:
+        return (math.isfinite(p.value) and np.isfinite(p.grad).all()
+                and np.isfinite(p.info if expected else p.hess).all())
+
+    if not finite(point, True):
+        return point, 0, False
     radius = 1.0
     expected = fresh = True
     iterations = 0
     while True:
+        g = point.grad
+        if np.max(np.abs(g)) <= gradient_tol:
+            return point, iterations, True
         if fresh:
-            h = (info if expected else hess).copy()
-            h.flat[layout.shift] += np.trace(info) / x.size * layout.shift_weight
-            lam, vec = np.linalg.eigh(h)
-            keep = np.abs(lam) > x.size * eps * np.abs(lam).max()
-            lam = np.where(keep, lam, 1.0)
-            g_eig = np.where(keep, vec.T @ g, 0.0)
+            lam, vec, g_eig = _eigenmodel(point.info if expected else point.hess, g,
+                                          layout.basis)
             fresh = False
         step = _step(lam, g_eig, radius)
         predicted = -(g_eig @ step + 0.5 * (lam * step) @ step)
-        if np.max(np.abs(g)) <= gradient_tol or predicted <= eps * max(f, 1.0):
-            return x, f, iterations, True
+        if predicted <= eps * max(point.value, 1.0):
+            return point, iterations, True
         if iterations == max_iterations:
-            return x, f, iterations, False
+            return point, iterations, False
         iterations += 1
         length = math.sqrt(step @ step)
         s = vec @ step
-        trial = objective(x + s)
-        decrease = f - trial[0]
+        trial = objective(point.x + s)
+        decrease = point.value - trial.value
         if math.isfinite(decrease) and decrease < 0.25 * predicted:
-            other = -(g @ s + 0.5 * s @ ((hess if expected else info) @ s))
+            other = -(g @ s + 0.5 * s @ ((point.hess if expected else point.info) @ s))
             if abs(decrease - other) < abs(decrease - predicted):
                 expected, fresh = not expected, True
-        if decrease > 0 and all(np.isfinite(v).all() for v in trial[1:]):
+        if decrease > 0 and finite(trial, expected):
             ratio = decrease / predicted
-            x, (f, g, info, hess), fresh = x + s, trial, True
+            point, fresh = trial, True
             if callback is not None:
-                callback(x, f)
+                callback(point.x, point.value)
         else:
             ratio = -math.inf
         if ratio < 0.25:
@@ -402,15 +485,32 @@ def _trust_region(objective, x: np.ndarray, start: tuple, layout: _Layout,
             radius *= 2.0
 
 
+def _eigenmodel(matrix: np.ndarray, g: np.ndarray, basis: np.ndarray):
+    """The model ``gᵀs + sᵀ matrix s / 2`` on the span of the orthonormal
+    ``basis``, in the eigenbasis of ``basisᵀ matrix basis``: ``(lam, vec,
+    g_eig)``, with ``s = vec @ t`` for a step ``t`` in that eigenbasis.  An
+    eigenvalue at most ``dim · eps`` times the largest in magnitude is
+    numerically 0, and its direction is dropped, as a pseudo-inverse would."""
+    lam, vec = np.linalg.eigh(basis.T @ matrix @ basis)
+    keep = np.abs(lam) > basis.shape[0] * np.finfo(float).eps * np.abs(lam).max()
+    vec = basis @ vec[:, keep]
+    return lam[keep], vec, vec.T @ g
+
+
 def _step(lam: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     """The minimiser of ``gᵀs + Σ lam s² / 2`` over ``‖s‖ ≤ radius`` (Moré and
     Sorensen, 1983): the Newton step when every ``lam > 0`` and it fits, else
     ``s(μ) = -g / (lam + μ)`` with ``μ > max(0, -min lam)`` and
     ``‖s(μ)‖ = radius``, found by Newton's method on ``1/‖s(μ)‖ - 1/radius``.
     That function is concave and increasing there, so the iteration from the
-    left rises monotonically to the root.  In the hard case ``g`` has no
-    component along the lowest eigenvector, ``‖s(μ)‖`` stays inside the
-    radius, and the step is completed along that eigenvector."""
+    left rises monotonically to the root.
+
+    When some ``lam ≤ 0`` the minimiser lies on the sphere.  In the hard case
+    ``g`` has no component along the lowest eigenvector and ``‖s(μ)‖`` stays
+    inside the radius, so the step is completed along that eigenvector.  Near
+    the hard case μ ends at the pole of the lowest eigenvalue, where the
+    rounding of ``g`` and of μ decides that component, and the step is
+    completed in the same way."""
     low = int(np.argmin(lam))
     if lam[low] > 0:
         step = -g / lam
@@ -419,23 +519,25 @@ def _step(lam: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
         mu = 0.0
     else:
         mu = np.finfo(float).eps * np.abs(lam).max() - lam[low]
-        step = -g / (lam + mu)
-        if step @ step <= radius * radius:
-            step[low] = 0.0
-            step[low] = -math.copysign(math.sqrt(radius * radius - step @ step), g[low])
-            return step
     while True:
         shifted = lam + mu
         step = -g / shifted
         norm2 = float(step @ step)
         if norm2 <= radius * radius:
-            return step
-        norm = math.sqrt(norm2)
+            break
         # stepᵀ (step / shifted) = Σ g² / (lam + μ)³ = -‖s‖ d‖s‖/dμ
-        mu_next = mu + (norm / radius - 1.0) * norm2 / float(step @ (step / shifted))
+        mu_next = mu + (math.sqrt(norm2) / radius - 1.0) * norm2 / float(step @ (step / shifted))
         if not mu_next > mu:
-            return step * (radius / norm)
+            break
         mu = mu_next
+    if lam[low] <= 0:
+        rest = step.copy()
+        rest[low] = 0.0
+        room = radius * radius - rest @ rest
+        if room >= 0:
+            rest[low] = -math.copysign(math.sqrt(room), g[low])
+            return rest
+    return step if norm2 <= radius * radius else step * (radius / math.sqrt(norm2))
 
 
 @dataclass(frozen=True)
@@ -468,24 +570,23 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
     opts = opts or FitOptions()
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     layout = _layout(k_y, k_x, k_w, k_e, k_u)
-    objective = _objective(counts, k_u, curvature=True)
+    objective = _objective(counts, k_u)
 
-    best: tuple[float, np.ndarray, int, bool] | None = None
+    best: tuple[_Point, int, bool] | None = None
     for restart in range(opts.restarts):
         rng = np.random.default_rng([opts.seed, restart])
-        x0 = rng.uniform(0.0, 1.0, size=layout.dim)
-        start = objective(x0)
-        x_hat, f_hat, iterations, converged = _trust_region(
-            objective, x0, start, layout, opts.max_iterations, opts.gradient_tol)
-        if f_hat > start[0]:  # paranoid guard: never return worse than the start
-            x_hat, f_hat = x0, start[0]
-        if best is None or f_hat < best[0]:
-            best = (f_hat, x_hat, iterations, converged)
-    f_best, x_best, iterations, converged = best
-    theta = ThetaParams.from_flat(x_best, k_u, k_e, k_w, k_x, k_y)
-    diag = FitDiagnostics(log_likelihood=-f_best, iterations=iterations,
+        start = objective(rng.uniform(0.0, 1.0, size=layout.dim))
+        end, iterations, converged = _trust_region(
+            objective, start, layout, opts.max_iterations, opts.gradient_tol)
+        if end.value > start.value:  # paranoid guard: never return worse than the start
+            end = start
+        if best is None or end.value < best[0].value:
+            best = (end, iterations, converged)
+    end, iterations, converged = best
+    theta = ThetaParams.from_flat(end.x, k_u, k_e, k_w, k_x, k_y)
+    diag = FitDiagnostics(log_likelihood=-end.value, iterations=iterations,
                           converged=converged,
-                          deviance=2.0 * (_saturated_log_likelihood(counts) + f_best))
+                          deviance=2.0 * (_saturated_log_likelihood(counts) + end.value))
     return theta, diag
 
 
