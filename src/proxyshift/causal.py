@@ -557,8 +557,8 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
                k_u: int | None = None) -> tuple[ThetaParams, FitDiagnostics]:
     """Maximise the observed-data likelihood over the mechanism logits.
 
-    ``k_u`` is the fitted confounder cardinality and must be supplied (it is
-    not derivable from the observables).  Runs ``opts.restarts`` independent
+    ``k_u`` is the fitted confounder cardinality and must be supplied as a
+    positive integer (it is not derivable from the observables).  Runs ``opts.restarts`` independent
     trust-region fits from uniform [0, 1] initial logits and keeps the best;
     the returned likelihood is never below that of any starting point.
     """
@@ -566,6 +566,8 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
         raise ValidationError("counts must describe at least one record")
     if k_u is None:
         raise ValidationError("k_u (the fitted confounder cardinality) is required")
+    if not isinstance(k_u, (int, np.integer)) or k_u < 1:
+        raise ValidationError(f"k_u must be a positive integer, got {k_u!r}")
 
     opts = opts or FitOptions()
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape

@@ -5,8 +5,17 @@ estimator on a dataset file), ``identify`` (population-level effect from a
 model file), ``bench`` (the simulation studies), ``reduce-proxy`` and
 ``discretize``.  Results go to stdout or ``--out``; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage error, 2 data or estimation error.
-All randomness is controlled by explicit ``--seed`` flags; there is
-deliberately no environment-variable fallback.
+All randomness is controlled by explicit ``--seed`` flags (non-negative
+integers); there is deliberately no environment-variable fallback.
+
+Each command loads only the modules it runs.  This module imports the ones
+every command needs (``errors``, ``categorical``, ``scm`` and ``fileio``);
+each command body imports its estimator modules where it calls them:
+``identify``, ``reduce-proxy`` and ``discretize`` load ``identify``,
+``estimate`` loads ``reduced`` (plus ``causal`` or ``baselines`` for those
+methods), ``bench`` loads ``bench``, and ``simulate`` loads nothing more.
+Process start then neither imports nor compiles the estimators a command
+does not run.
 """
 
 from __future__ import annotations
@@ -15,22 +24,20 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .baselines import no_adjustment, w_adjustment, wald_interval
-from .bench import (ExperimentConfig, run_baseline_comparison, run_coverage,
-                    run_point_error, run_runtime, write_records_csv)
 from .categorical import CategorySpec, condition_number
-from .causal import FitOptions, causal_estimate
 from .errors import ProxyShiftError
 from .fileio import (_check_keys, _check_types, atomic_write_text, dims_from_dict,
                      load_dataset, load_dims, load_model, model_to_dict, save_dataset,
                      save_dims, save_model, write_json)
-from .identify import Partition, discretize_proxy, identify_effect, reduce_proxy
-from .reduced import bootstrap_ci, reduced_estimate
 from .scm import population_views, sample_scm_spec, simulate_records
+
+if TYPE_CHECKING:
+    from .bench import ExperimentConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -69,6 +76,17 @@ def _dims_from_args(args) -> CategorySpec:
     return CategorySpec(**values)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy's generators refuse negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_dims_flags(parser) -> None:
     parser.add_argument("--dims", help="dimensions sidecar JSON")
     for axis in ("e", "u", "w", "x", "y"):
@@ -84,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a random model and simulate a dataset")
     _add_dims_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--n", type=int, required=True, help="number of records")
     p.add_argument("--out-model", help="write the drawn model JSON here")
     p.add_argument("--out-data", help="write the dataset CSV here")
@@ -100,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bootstrap", type=int, metavar="B",
                    help="also compute a bootstrap interval with B resamples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k-u-fit", type=int,
                    help="confounder cardinality for the mechanism fit "
                         "(defaults to the declared k_u)")
@@ -173,13 +191,15 @@ def _cmd_estimate(args) -> int:
     ds = load_dataset(args.data, dims)
     out: dict = {"method": args.method, "x": args.x, "y": args.y}
     if args.method == "reduced":
+        from .reduced import bootstrap_ci, reduced_estimate
         est = reduced_estimate(ds, x, y, alpha=args.alpha)
         out.update(est.to_dict())
-        if args.bootstrap:
+        if args.bootstrap is not None:
             boot = bootstrap_ci(ds, x, y, args.bootstrap, alpha=args.alpha,
                                 rng=args.seed)
             out["bootstrap"] = {**boot._asdict(), "b": args.bootstrap}
     elif args.method == "causal":
+        from .causal import FitOptions, causal_estimate
         k_u = dims.k_u if args.k_u_fit is None else args.k_u_fit
         est = causal_estimate(ds, x, y, FitOptions(seed=args.seed), k_u=k_u)
         out.update(est.to_dict())
@@ -187,17 +207,20 @@ def _cmd_estimate(args) -> int:
             out["k_u_fit"] = k_u
             out["k_u_overridden"] = True
     elif args.method == "noadj":
+        from .baselines import no_adjustment, wald_interval
         point = no_adjustment(ds, x, y)
         lo, hi = wald_interval(point, int(ds.n_yxwe[:, x].sum()), args.alpha)
         out.update({"point": point, "ci_lower": lo, "ci_upper": hi,
                     "alpha": args.alpha, "n": ds.n})
     else:  # wadj
+        from .baselines import w_adjustment
         out.update({"point": w_adjustment(ds, x, y), "n": ds.n})
     _emit_json(out, args.out)
     return 0
 
 
 def _cmd_identify(args) -> int:
+    from .identify import identify_effect
     spec = load_model(args.model)
     x, y = args.x - 1, args.y - 1
     _check_xy(spec.dims, x, y)
@@ -209,6 +232,8 @@ def _cmd_identify(args) -> int:
 
 
 def _config_from_file(path) -> ExperimentConfig:
+    from .bench import ExperimentConfig
+    from .causal import FitOptions
     with open(path) as handle:
         doc = json.load(handle)
     _check_keys(doc, "config file", ("dims",), ExperimentConfig)
@@ -225,6 +250,8 @@ def _config_from_file(path) -> ExperimentConfig:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import (run_baseline_comparison, run_coverage, run_point_error,
+                        run_runtime, write_records_csv)
     config = _config_from_file(args.config)
     if args.workers is not None:
         config = replace(config, workers=args.workers)
@@ -257,6 +284,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_reduce_proxy(args) -> int:
+    from .identify import reduce_proxy
     spec = load_model(args.model)
     _check_xy(spec.dims, args.x - 1)
     views = population_views(spec, args.x - 1, 0)
@@ -272,6 +300,7 @@ def _cmd_reduce_proxy(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    from .identify import Partition, discretize_proxy
     if args.edges:
         partition = Partition(tuple(float(v) for v in args.edges.split(",")))
     else:

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
+
+# One BLAS thread, set before numpy loads: the mechanism fit makes many small
+# BLAS and LAPACK calls, which stall when threaded on a busy machine, and the
+# CLI tests' child processes inherit the setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

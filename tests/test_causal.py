@@ -321,6 +321,14 @@ class TestFitCausal:
         b, _ = fit_causal(counts, FitOptions(seed=9), k_u=2)
         assert np.array_equal(a.flatten(), b.flatten())
 
+    @pytest.mark.parametrize("k_u", [0, -2, 2.0, "2", None])
+    def test_k_u_must_be_a_positive_integer(self, k_u):
+        counts = simulate_dataset(well_conditioned_spec(), 300, np.random.default_rng(5))
+        with pytest.raises(ValidationError, match="k_u"):
+            fit_causal(counts, k_u=k_u)
+        with pytest.raises(ValidationError, match="k_u"):
+            causal_estimate(counts, 0, 0, k_u=k_u)
+
     def test_fit_beats_truth_logits_on_large_sample(self):
         spec = well_conditioned_spec()
         ds = simulate_dataset(spec, 200_000, np.random.default_rng(6))

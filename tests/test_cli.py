@@ -56,16 +56,19 @@ def test_import_does_not_load_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
-def main_and_scipy_modules(argv) -> str:
-    """Run ``main(argv)`` in a fresh process; print its exit code and every
-    ``scipy`` module loaded by the time it returns."""
+def main_and_modules(argv, package) -> tuple[int, set[str]]:
+    """Run ``main(argv)`` in a fresh process; return its exit code and every
+    module of ``package`` loaded by the time it returns.  ``argv`` must send
+    the command's output to a file."""
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from proxyshift.cli import main; rc = main(sys.argv[1:]); "
-         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])", *argv],
+         "import sys; from proxyshift.cli import main; rc = main(sys.argv[2:]); "
+         "print(rc, *(m for m in sys.modules if m.split('.')[0] == sys.argv[1]))",
+         package, *argv],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    return res.stdout.strip()
+    rc, *modules = res.stdout.split()
+    return int(rc), set(modules)
 
 
 @pytest.mark.parametrize("extra", [["--method", "reduced", "--bootstrap", "20"],
@@ -75,7 +78,7 @@ def test_estimate_never_loads_scipy(tmp_path, extra):
     out = tmp_path / "est.json"
     argv = ["estimate", "--data", str(data), "--dims", str(dims), "--x", "1", "--y", "1",
             "--out", str(out), *extra]
-    assert main_and_scipy_modules(argv) == "0 []"
+    assert main_and_modules(argv, "scipy") == (0, set())
     assert "ci_lower" in json.loads(out.read_text())
 
 
@@ -88,8 +91,36 @@ def test_model_commands_never_load_scipy(tmp_path, command, flags):
     model, _, dims = simulate_fixture(tmp_path)
     source = ["--dims", str(dims)] if command == "simulate" else ["--model", str(model)]
     out = tmp_path / "out"
-    assert main_and_scipy_modules([command, *source, *flags, str(out)]) == "0 []"
+    assert main_and_modules([command, *source, *flags, str(out)], "scipy") == (0, set())
     assert out.stat().st_size > 0
+
+
+# what every command loads: the parser, the errors, the dimensions, the model
+# and the file formats; each command adds the estimator modules it runs
+CLI_CORE = {"proxyshift", "proxyshift.cli", "proxyshift.errors", "proxyshift.categorical",
+            "proxyshift.scm", "proxyshift.fileio"}
+ESTIMATE = ["estimate", "--data", "{data}", "--dims", "{dims}", "--x", "1", "--y", "1",
+            "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["simulate", "--dims", "{dims}", "--seed", "3", "--n", "200", "--out-data", "{out}"],
+     set()),
+    (["identify", "--model", "{model}", "--x", "1", "--y", "1", "--out", "{out}"],
+     {"identify"}),
+    (ESTIMATE, {"reduced"}),
+    (ESTIMATE + ["--bootstrap", "20"], {"reduced"}),
+    (ESTIMATE + ["--method", "causal"], {"reduced", "causal"}),
+    (ESTIMATE + ["--method", "noadj"], {"reduced", "baselines"}),
+], ids=["simulate", "identify", "estimate", "estimate-bootstrap", "estimate-causal",
+        "estimate-noadj"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
+    model, data, dims = simulate_fixture(tmp_path)
+    paths = {"model": model, "data": data, "dims": dims, "out": tmp_path / "out"}
+    argv = [arg.format(**paths) for arg in argv]
+    expected = CLI_CORE | {f"proxyshift.{name}" for name in own}
+    assert main_and_modules(argv, "proxyshift") == (0, expected)
+    assert (tmp_path / "out").stat().st_size > 0
 
 
 class TestExitCodes:
@@ -130,6 +161,20 @@ class TestExitCodes:
         assert res.stderr.startswith("proxyshift: error:")
         assert res.stderr.rstrip().endswith(f"'{out}'")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_negative_seed_is_usage_error(self, tmp_path, command):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        argv = (["simulate", "--dims", str(dims), "--n", "10", "--seed", "-1"]
+                if command == "simulate" else
+                ["estimate", "--data", str(data), "--dims", str(dims), "--x", "1",
+                 "--y", "1", "--bootstrap", "10", "--seed", "-4"])
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            f"proxyshift {command}: error: argument --seed: must be a non-negative "
+            f"integer, got {argv[-1]}")
 
     def test_bad_xy_is_refused_before_the_data_is_read(self, tmp_path):
         dims = tmp_path / "dims.json"
@@ -261,6 +306,15 @@ class TestEstimate:
         assert doc["bootstrap"]["b"] == 32
         assert doc["bootstrap"]["ci_lower"] <= doc["bootstrap"]["ci_upper"]
 
+    @pytest.mark.parametrize("b", ["0", "1"])
+    def test_too_few_resamples_is_data_error(self, tmp_path, b):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--bootstrap", b)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "proxyshift: error: n_boot must be at least 2\n"
+
     def test_bootstrap_block_keys(self, tmp_path):
         _, data, dims = simulate_fixture(tmp_path / "a")
         res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
@@ -313,6 +367,16 @@ class TestEstimate:
         assert fit["converged"] is True
         assert fit["iterations"] >= 1 and fit["log_likelihood"] < 0
         assert fit["deviance"] >= -1e-6
+
+    @pytest.mark.parametrize("k_u", ["0", "-2"])
+    def test_non_positive_k_u_fit_is_data_error(self, tmp_path, k_u):
+        _, data, dims = simulate_fixture(tmp_path / "a")
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--method", "causal", "--k-u-fit", k_u)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"proxyshift: error: k_u must be a positive integer, "
+                              f"got {k_u}\n")
 
     @pytest.mark.parametrize("method", ["reduced", "noadj"])
     def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, method):
