@@ -31,13 +31,12 @@ _EXPORTS = {
     "causal": ("FitOptions", "ThetaParams", "causal_estimate", "fit_causal",
                "g_of_theta", "log_likelihood"),
     "errors": ("BootstrapError", "DatasetFormatError", "EmptyCellError",
-               "FilterExhaustedError", "NoValidPartitionError", "OutOfSupportError",
-               "ProxyShiftError", "RankDeficiencyError", "SingularMatrixError",
-               "ValidationError", "ZeroDenominatorError"),
+               "FilterExhaustedError", "OutOfSupportError", "ProxyShiftError",
+               "RankDeficiencyError", "SingularMatrixError", "ValidationError",
+               "ZeroDenominatorError"),
     "identify": ("Partition", "ProxyMapping", "causal_decomposition_effect",
                  "discretize_proxy", "identify_conditional_effect", "identify_effect",
-                 "identify_total_effect_with_covariate", "reduce_proxy",
-                 "search_partition"),
+                 "identify_total_effect_with_covariate", "reduce_proxy"),
     "reduced": ("BootstrapCI", "EffectEstimate", "EstimateFlags", "EtaVector",
                 "bootstrap_ci", "eta_from_counts", "grad_h", "h_of_eta",
                 "normal_quantile", "reduced_estimate"),

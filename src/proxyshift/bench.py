@@ -277,12 +277,6 @@ def _accepted_models(config: ExperimentConfig) -> list[tuple[int, ScmSpec]]:
         f"confounding filter within the budget of {config.model_draw_budget}")
 
 
-def accepted_model_candidates(config: ExperimentConfig) -> list[int]:
-    """Indices of model draws passing the confounding filter
-    ``|q(y|do(x)) - q(y|x)| > threshold`` (an exact model property)."""
-    return [candidate for candidate, _ in _accepted_models(config)]
-
-
 def run_baseline_comparison(config: ExperimentConfig) -> list[ReplicateRecord]:
     """All seven estimators on confounded model draws.
 

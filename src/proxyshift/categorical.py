@@ -148,11 +148,13 @@ class StackedSvd(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = s[:, -1] / s[:, 0]
             pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+        # a zero matrix (ratio 0/0) and an infinite entry (NaN singular
+        # values) fail the comparison, so they count as singular too
         singular = {
             int(i): SingularMatrixError(
                 f"singular system: singular-value ratio {ratio[i] if s[i, 0] > 0 else 0.0:.3e} "
                 f"below tolerance {tol[i]:.1e}")
-            for i in np.flatnonzero((s[:, 0] <= 0.0) | (ratio < tol))}
+            for i in np.flatnonzero(~(ratio >= tol))}
         return pinv, singular
 
 

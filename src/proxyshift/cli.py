@@ -306,10 +306,9 @@ def _cmd_discretize(args) -> int:
     else:
         with open(args.partition) as handle:
             doc = json.load(handle)
-        _check_keys(doc, "partition file", ("edges",))
-        partition = Partition(tuple(doc["edges"]),
-                              lower=doc.get("lower", float("-inf")),
-                              upper=doc.get("upper", float("inf")))
+        _check_keys(doc, "partition file", ("edges",), Partition)
+        _check_types(doc, "partition file", Partition)
+        partition = Partition(**doc)
     with open(args.values) as handle:
         values = [float(line) for line in handle if line.strip()]
     codes = discretize_proxy(values, partition)

@@ -45,10 +45,6 @@ class OutOfSupportError(ProxyShiftError):
     """A continuous proxy value falls outside the declared partition support."""
 
 
-class NoValidPartitionError(ProxyShiftError):
-    """No candidate discretisation achieves the required numeric rank."""
-
-
 class DatasetFormatError(ProxyShiftError, ValueError):
     """A dataset or model file violates its schema."""
 

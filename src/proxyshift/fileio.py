@@ -90,6 +90,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _is_list_of(v, check) -> bool:
     return isinstance(v, list) and all(map(check, v))
 
@@ -101,7 +105,8 @@ _STRINGS = ("a list of strings", lambda v: _is_list_of(v, lambda s: isinstance(s
 # An absent label list is None, but a JSON null is refused like any non-list.
 _JSON_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a number", _is_number),
+    "tuple[float, ...]": ("a list of numbers", lambda v: _is_list_of(v, _is_number)),
     "tuple[int, ...] | None": ("a list of integers or null",
                                lambda v: v is None or _is_list_of(v, _is_int)),
     "tuple[str, ...]": _STRINGS,
@@ -307,6 +312,7 @@ def model_to_dict(spec: ScmSpec) -> dict:
 
 
 def model_from_dict(doc: dict) -> ScmSpec:
+    _check_keys(doc, "model file")
     try:
         dims = dims_from_dict(doc["dims"])
         p_u_given_e = _from_columns(doc["p_u_given_e"], dims.k_u, dims.k_e, "p_u_given_e")

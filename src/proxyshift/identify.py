@@ -5,9 +5,11 @@ The core formula expresses the interventional probability as
 matrix across source domains.  It is valid only when that matrix has full
 row rank; rank-deficient inputs are refused rather than regularised, because
 the effect is then genuinely not determined by the observable distributions.
-This module also provides the proxy category reduction that restores full
-row rank when the proxy has redundant categories, a binning path for
-continuous proxies, and the extension to an additional observed confounder.
+This module also provides the mechanism decomposition of the same effect,
+the proxy category reduction that restores full row rank when the proxy has
+redundant categories, the binning of continuous proxy readings by a
+user-given partition, and the extension to an additional observed
+confounder.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .categorical import (RANK_REL_TOL, _as_matrix, _row_ranks, condition_number,
-                          numeric_row_rank, right_pseudoinverse)
-from .errors import (NoValidPartitionError, OutOfSupportError,
-                     RankDeficiencyError, ValidationError)
+from .categorical import (RANK_REL_TOL, _as_matrix, condition_number, numeric_row_rank,
+                          right_pseudoinverse)
+from .errors import (OutOfSupportError, RankDeficiencyError, SingularMatrixError,
+                     ValidationError)
 
 
 def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL) -> float:
@@ -31,7 +33,8 @@ def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL) -> floa
     ``q_w``: target proxy marginal, length ``k_w``.
 
     Raises :class:`RankDeficiencyError` when ``p_w_ex`` does not have full
-    row rank at ``rank_tol``.
+    row rank at ``rank_tol``.  One SVD decides the rank and gives the
+    pseudo-inverse; a refusal takes a second one for the condition number.
     """
     a = _as_matrix(p_w_ex)
     p_y = np.asarray(p_y_ex, dtype=float).reshape(-1)
@@ -39,24 +42,29 @@ def identify_effect(p_y_ex, p_w_ex, q_w, rank_tol: float = RANK_REL_TOL) -> floa
     if p_y.size != a.shape[1] or q.size != a.shape[0]:
         raise ValidationError(
             f"inconsistent shapes: p_y_ex {p_y.size}, p_w_ex {a.shape}, q_w {q.size}")
-    if numeric_row_rank(a, rank_tol) < a.shape[0]:
-        kappa = condition_number(a)
-        raise RankDeficiencyError(
-            f"proxy conditional matrix is row-rank deficient "
-            f"(condition number {kappa:.3e}); the effect is not identified "
-            f"from these observables", kappa=kappa)
-    return float(p_y @ right_pseudoinverse(a, rank_tol) @ q)
+    # A thin SVD of a tall matrix has only k_e singular values, so its ratio
+    # test cannot see that the k_w > k_e rows are dependent.
+    if a.shape[0] <= a.shape[1]:
+        try:
+            return float(p_y @ right_pseudoinverse(a, rank_tol) @ q)
+        except SingularMatrixError:
+            pass
+    kappa = condition_number(a)
+    raise RankDeficiencyError(
+        f"proxy conditional matrix is row-rank deficient "
+        f"(condition number {kappa:.3e}); the effect is not identified "
+        f"from these observables", kappa=kappa)
 
 
 def causal_decomposition_effect(p_y_uw, p_w_u, q_u) -> float:
     """Effect via the mechanism decomposition
-    ``diag(p_y_uw @ p_w_u) @ q_u``.
+    ``sum_u q(u) sum_w p(y | u, w, x) p(w | u)``.
 
     ``p_y_uw`` holds ``p(y | u, w, x)`` for the fixed ``(x, y)`` as a
     ``(k_u, k_w)`` array; ``p_w_u`` is the ``(k_w, k_u)`` proxy mechanism.
     """
-    m = np.asarray(p_y_uw, dtype=float) @ _as_matrix(p_w_u)
-    return float(np.diag(m) @ np.asarray(q_u, dtype=float))
+    per_u = np.einsum("uw,wu->u", np.asarray(p_y_uw, dtype=float), _as_matrix(p_w_u))
+    return float(per_u @ np.asarray(q_u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -200,102 +208,6 @@ def discretize_proxy(values, partition: Partition) -> np.ndarray:
         bad = v[outside][0]
         raise OutOfSupportError(f"value {float(bad)!r} is outside the declared proxy support")
     return np.searchsorted(np.asarray(partition.edges), v, side="left") + 1
-
-
-def _binned_conditionals(codes: np.ndarray, x_codes: np.ndarray,
-                         e_codes: np.ndarray, m: int, k_x: int,
-                         k_e: int) -> list[tuple[np.ndarray, int]] | None:
-    """Estimated binned-proxy conditional matrices with their smallest
-    per-column sample size, one pair per treatment value.
-
-    Returns ``None`` when some ``(x, e)`` cell has no observations, which
-    makes the candidate partition unratable.
-    """
-    out = []
-    for x in range(k_x):
-        sel = x_codes == x
-        key = codes[sel] * k_e + e_codes[sel]
-        counts = np.bincount(key, minlength=m * k_e).reshape(m, k_e).astype(float)
-        col_tot = counts.sum(axis=0)
-        if np.any(col_tot == 0):
-            return None
-        out.append((counts / col_tot, int(col_tot.min())))
-    return out
-
-
-def _quantile_cuts(w: np.ndarray, m: int) -> tuple[float, ...]:
-    """Equal-mass cut points snapped to midpoints between distinct values, so
-    ties (discrete or heavily rounded proxies) fall entirely on one side."""
-    vals, counts = np.unique(w, return_counts=True)
-    if vals.size < 2:
-        return ()
-    below = np.cumsum(counts)[:-1]          # records at or below each cut
-    mids = 0.5 * (vals[:-1] + vals[1:])
-    edges = []
-    for i in range(1, m):
-        target = i * w.size / m
-        j = int(np.searchsorted(below, target))
-        j = min(j, below.size - 1)
-        if j > 0 and abs(below[j - 1] - target) <= abs(below[j] - target):
-            j -= 1
-        edges.append(float(mids[j]))
-    return tuple(sorted(set(edges)))
-
-
-def search_partition(w_values, x_codes, e_codes, k_u: int, m_max: int,
-                     k_x: int | None = None, k_e: int | None = None,
-                     rel_tol: float = RANK_REL_TOL) -> Partition:
-    """Search quantile binnings of a continuous proxy for one that makes the
-    binned conditional matrices well-ranked.
-
-    Candidates use ``m`` equal-mass bins for ``m`` between ``k_u`` and
-    ``m_max``.  A candidate is valid when, for every treatment value, the
-    estimated binned conditional matrix has numeric rank at least ``k_u``
-    with its ``k_u``-th singular value above a sampling-noise floor of
-    ``2 * sqrt(m / n_min)`` (``n_min`` the smallest per-column sample size);
-    without the floor, estimation noise would make any matrix look
-    full-rank.  The returned partition maximises the smallest singular value
-    minimised over treatment values.  Raises :class:`NoValidPartitionError`
-    when no candidate qualifies.
-    """
-    w = np.asarray(w_values, dtype=float).reshape(-1)
-    xs = np.asarray(x_codes, dtype=np.int64).reshape(-1)
-    es = np.asarray(e_codes, dtype=np.int64).reshape(-1)
-    if not (w.size == xs.size == es.size) or w.size == 0:
-        raise ValidationError("w_values, x_codes, e_codes must be equal-length and non-empty")
-    if m_max < k_u:
-        raise ValidationError("m_max must be at least k_u")
-    k_x = int(xs.max()) + 1 if k_x is None else k_x
-    k_e = int(es.max()) + 1 if k_e is None else k_e
-
-    best: tuple[float, Partition] | None = None
-    for m in range(k_u, m_max + 1):
-        edges = _quantile_cuts(w, m)
-        if len(edges) + 1 < k_u:
-            continue
-        part = Partition(edges)
-        codes = discretize_proxy(w, part) - 1
-        mats = _binned_conditionals(codes, xs, es, part.m, k_x, k_e)
-        if mats is None:
-            continue
-        valid = True
-        score = float("inf")
-        for mat, n_min in mats:
-            s = np.linalg.svd(mat, compute_uv=False)
-            floor = 2.0 * np.sqrt(part.m / n_min)
-            if _row_ranks(s[None], rel_tol)[0] < k_u or s[min(k_u, s.size) - 1] < floor:
-                valid = False
-                break
-            score = min(score, float(s[-1]))
-        if not valid:
-            continue
-        if best is None or score > best[0]:
-            best = (score, part)
-    if best is None:
-        raise NoValidPartitionError(
-            f"no quantile partition with {k_u} <= m <= {m_max} reaches numeric "
-            f"rank {k_u} for every treatment value")
-    return best[1]
 
 
 def identify_conditional_effect(p_y_exz, p_w_exz, q_w_given_z,

@@ -6,7 +6,7 @@ import pytest
 import proxyshift.bench as bench
 import proxyshift.scm as scm
 from proxyshift.bench import (ALL_ESTIMATORS, CSV_HEADER, ExperimentConfig,
-                              ReplicateRecord, accepted_model_candidates, derive_rng,
+                              ReplicateRecord, _accepted_models, derive_rng,
                               run_baseline_comparison, run_coverage,
                               run_point_error, run_runtime, write_records_csv)
 from proxyshift.categorical import CategorySpec
@@ -100,21 +100,19 @@ class TestBaselineComparison:
 
     def test_filter_accepts_only_confounded_models(self):
         config = small_config(n_models=3, confound_threshold=0.1)
-        from proxyshift.bench import _model_for
         from proxyshift.scm import target_conditional, true_effect
-        for candidate in accepted_model_candidates(config):
-            spec = _model_for(config, candidate)
+        for _, spec in _accepted_models(config):
             gap = abs(true_effect(spec, 0, 0) - target_conditional(spec, 0, 0))
             assert gap > 0.1
 
     def test_zero_threshold_accepts_immediately(self):
         config = small_config(n_models=2, confound_threshold=0.0)
-        assert accepted_model_candidates(config) == [0, 1]
+        assert [candidate for candidate, _ in _accepted_models(config)] == [0, 1]
 
     def test_impossible_filter_exhausts_budget(self):
         config = small_config(confound_threshold=2.0, model_draw_budget=50)
         with pytest.raises(FilterExhaustedError):
-            accepted_model_candidates(config)
+            _accepted_models(config)
 
 
 class TestKappaHat:

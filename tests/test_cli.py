@@ -219,6 +219,13 @@ class TestExitCodes:
         # a value of the right type that no study can honour
         ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
                    "x": 5}, "x must be in 0..1"),
+        # partition values must be numbers, and a key that is not a field is refused
+        ("discretize", {"edges": [1.5], "lower": "abc"}, "lower"),
+        ("discretize", {"edges": [None]}, "edges"),
+        ("discretize", {"edges": 5}, "edges"),
+        ("discretize", {"edges": [], "lower": "x"}, "lower"),
+        ("discretize", {"edges": [0.5], "uper": 1}, "uper"),
+        ("model", [1], "model file"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from proxyshift.categorical import CategorySpec, condition_number, numeric_row_rank
-from proxyshift.errors import (NoValidPartitionError, OutOfSupportError,
-                               RankDeficiencyError)
+from proxyshift.categorical import (CategorySpec, condition_number, numeric_row_rank,
+                                    right_pseudoinverse)
+from proxyshift.errors import OutOfSupportError, RankDeficiencyError
 from proxyshift.identify import (Partition, causal_decomposition_effect,
                                  discretize_proxy, identify_conditional_effect,
                                  identify_effect,
                                  identify_total_effect_with_covariate,
                                  reduce_proxy)
-from proxyshift.identify import search_partition
 from proxyshift.scm import (population_views, sample_scm_spec, target_conditional,
                             true_effect)
 
@@ -75,6 +76,55 @@ class TestIdentifyEffect:
             with pytest.raises(RankDeficiencyError) as excinfo:
                 identify_effect(views.p_y_ex, views.p_w_ex, views.q_w)
             assert "condition number" in str(excinfo.value)
+
+    def test_one_svd_decides_rank_and_pseudo_inverse(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        p_w_ex = np.array([[0.3, 0.6, 0.5], [0.7, 0.4, 0.5]])
+        identify_effect(np.array([0.62, 0.44, 0.5]), p_w_ex, np.array([0.5, 0.5]))
+        assert len(calls) == 1
+
+    def test_refuses_more_proxy_categories_than_domains(self):
+        # three independent-looking rows over two domains: a thin SVD has only
+        # two singular values, whose ratio alone would pass
+        p_w_ex = np.array([[0.2, 0.5], [0.3, 0.3], [0.5, 0.2]])
+        assert right_pseudoinverse(p_w_ex).shape == (2, 3)
+        message = (r"^proxy conditional matrix is row-rank deficient \(condition number "
+                   r"[0-9.e+]+\); the effect is not identified from these observables$")
+        with pytest.raises(RankDeficiencyError, match=message) as excinfo:
+            identify_effect(np.array([0.4, 0.6]), p_w_ex, np.array([0.3, 0.3, 0.4]))
+        assert excinfo.value.kappa == condition_number(p_w_ex)
+
+    def test_refuses_an_infinite_entry(self):
+        p_w_ex = np.array([[np.inf, 0.6], [0.7, 0.4]])
+        with pytest.raises(RankDeficiencyError, match="condition number nan"):
+            identify_effect(np.array([0.62, 0.44]), p_w_ex, np.array([0.5, 0.5]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.sampled_from([(2, 2, 2, 2, 2), (3, 2, 2, 2, 2),
+                                                      (4, 3, 3, 2, 2), (5, 3, 3, 2, 2)]),
+           st.sampled_from(["domains", "proxies"]), st.randoms(use_true_random=False))
+    def test_relabelling_leaves_the_effect_unchanged(self, seed, dims, axis, random):
+        views = population_views(sample_scm_spec(CategorySpec(*dims),
+                                                 np.random.default_rng(seed)), 0, 0)
+        p_y, a, q = views.p_y_ex, views.p_w_ex, views.q_w
+        kappa = condition_number(a)
+        assume(kappa < 1e6)
+        if axis == "domains":
+            perm = random.sample(range(a.shape[1]), a.shape[1])
+            relabelled = identify_effect(p_y[perm], a[:, perm], q)
+        else:
+            perm = random.sample(range(a.shape[0]), a.shape[0])
+            relabelled = identify_effect(p_y, a[perm], q[perm])
+        # the permuted SVD rounds differently, by up to a few kappa * eps
+        tol = 1e-12 + 8 * np.finfo(float).eps * kappa
+        assert relabelled == pytest.approx(identify_effect(p_y, a, q), abs=tol)
 
 
 class TestCausalDecomposition:
@@ -250,48 +300,6 @@ class TestDiscretize:
         part = Partition((75.0, 125.0))
         np.testing.assert_array_equal(
             discretize_proxy([75.0, 75.0000001, 125.0], part), [1, 2, 2])
-
-
-def continuous_proxy_sample(rng, n, informative=True):
-    """Two source domains with shifted confounder laws; the proxy reading is
-    the confounder plus noise (or pure noise when not informative)."""
-    e = rng.integers(0, 2, size=n)
-    p_u1 = np.where(e == 0, 0.8, 0.3)
-    u = (rng.random(n) < p_u1).astype(int)
-    x = (rng.random(n) < np.where(u == 1, 0.7, 0.4)).astype(int)
-    if informative:
-        w = u + 0.25 * rng.standard_normal(n)
-    else:
-        w = rng.standard_normal(n)
-    return w, x, e
-
-
-class TestSearchPartition:
-    def test_informative_proxy_two_bins(self):
-        rng = np.random.default_rng(60)
-        w, x, e = continuous_proxy_sample(rng, 20_000)
-        part = search_partition(w, x, e, k_u=2, m_max=4)
-        codes = discretize_proxy(w, part) - 1
-        for xv in range(2):
-            sel = x == xv
-            key = codes[sel] * 2 + e[sel]
-            counts = np.bincount(key, minlength=part.m * 2).reshape(part.m, 2)
-            mat = counts / counts.sum(axis=0, keepdims=True)
-            assert numeric_row_rank(mat) >= 2
-
-    def test_already_discrete_identity(self):
-        rng = np.random.default_rng(61)
-        w, x, e = continuous_proxy_sample(rng, 20_000)
-        w_discrete = (w > 0.5).astype(float)  # two categories: 0.0 and 1.0
-        part = search_partition(w_discrete, x, e, k_u=2, m_max=2)
-        codes = discretize_proxy(w_discrete, part)
-        np.testing.assert_array_equal(codes - 1, w_discrete.astype(int))
-
-    def test_uninformative_proxy_fails(self):
-        rng = np.random.default_rng(62)
-        w, x, e = continuous_proxy_sample(rng, 5_000, informative=False)
-        with pytest.raises(NoValidPartitionError):
-            search_partition(w, x, e, k_u=2, m_max=4)
 
 
 # -- Covariate extension ------------------------------------------------------
