@@ -94,7 +94,7 @@ class ExperimentConfig:
         for name, low in (("bootstrap_b", 2), ("repetitions", 1), ("master_seed", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.confound_threshold < 0:
+        if not self.confound_threshold >= 0:
             raise ValidationError("confound_threshold must be non-negative")
         check_alpha(self.alpha)
         unknown = set(self.estimators) - set(ALL_ESTIMATORS)

@@ -24,20 +24,15 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .categorical import CategorySpec, condition_number
 from .errors import ProxyShiftError
-from .fileio import (_check_keys, _check_types, atomic_write_text, dims_from_dict,
-                     load_dataset, load_dims, load_model, model_to_dict, save_dataset,
-                     save_dims, save_model, write_json)
+from .fileio import (atomic_write_text, from_json, load_dataset, load_dims, load_model,
+                     model_to_dict, save_dataset, save_dims, save_model, write_json)
 from .scm import population_views, sample_scm_spec, simulate_records
-
-if TYPE_CHECKING:
-    from .bench import ExperimentConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -231,28 +226,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _config_from_file(path) -> ExperimentConfig:
-    from .bench import ExperimentConfig
-    from .causal import FitOptions
-    with open(path) as handle:
-        doc = json.load(handle)
-    _check_keys(doc, "config file", ("dims",), ExperimentConfig)
-    dims = dims_from_dict(doc.pop("dims"))
-    fit_doc = doc.pop("fit_options", {})
-    _check_keys(fit_doc, "config fit_options", cls=FitOptions)
-    _check_types(doc, "config file", ExperimentConfig)
-    _check_types(fit_doc, "config fit_options", FitOptions)
-    if doc.get("n_sweep") is not None:
-        doc["n_sweep"] = tuple(doc["n_sweep"])
-    if "estimators" in doc:
-        doc["estimators"] = tuple(doc["estimators"])
-    return ExperimentConfig(dims=dims, fit_options=FitOptions(**fit_doc), **doc)
-
-
 def _cmd_bench(args) -> int:
-    from .bench import (run_baseline_comparison, run_coverage, run_point_error,
-                        run_runtime, write_records_csv)
-    config = _config_from_file(args.config)
+    from .bench import (ExperimentConfig, run_baseline_comparison, run_coverage,
+                        run_point_error, run_runtime, write_records_csv)
+    with open(args.config) as handle:
+        config = from_json(ExperimentConfig, json.load(handle), "config file")
     if args.workers is not None:
         config = replace(config, workers=args.workers)
     summary: dict = {"study": args.study, "master_seed": config.master_seed}
@@ -305,10 +283,7 @@ def _cmd_discretize(args) -> int:
         partition = Partition(tuple(float(v) for v in args.edges.split(",")))
     else:
         with open(args.partition) as handle:
-            doc = json.load(handle)
-        _check_keys(doc, "partition file", ("edges",), Partition)
-        _check_types(doc, "partition file", Partition)
-        partition = Partition(**doc)
+            partition = from_json(Partition, json.load(handle), "partition file")
     with open(args.values) as handle:
         values = [float(line) for line in handle if line.strip()]
     codes = discretize_proxy(values, partition)

@@ -14,6 +14,11 @@ treatment or outcome, and :func:`load_dataset` reads a file straight into
 its :class:`~proxyshift.scm.ContingencyCounts`, the only input the
 estimators take.
 
+The dims sidecar, the ``bench`` config and the ``discretize`` partition file
+are JSON objects that :func:`from_json` reads into their dataclasses by one
+rule, taken from the dataclass's fields.  Model files keep their own layout
+code, as their matrices are stored column-major.
+
 :func:`load_dataset` reads the file as bytes of UTF-8 text and accepts
 ``\\n``, ``\\r\\n`` and ``\\r`` line ends (and the other breaks of
 ``str.splitlines``).  It counts the lines before parsing any: a line of at
@@ -31,8 +36,9 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -73,19 +79,6 @@ def dims_to_dict(dims: CategorySpec) -> dict:
             for k, v in asdict(dims).items() if v is not None}
 
 
-def _check_keys(doc: dict, what: str, required=(), cls=None) -> None:
-    """Refuse a document that is not an object, a missing ``required`` key,
-    or a key not a field of ``cls``."""
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{what} must be a JSON object, got {doc!r}")
-    for key in required:
-        if key not in doc:
-            raise DatasetFormatError(f"{what} is missing key {key!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)}) if cls else []
-    if unknown:
-        raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -114,22 +107,36 @@ _JSON_TYPES = {
 }
 
 
-def _check_types(doc: dict, what: str, cls) -> None:
-    """Refuse a value whose JSON type does not fit its field of ``cls``."""
-    for f in fields(cls):
-        if f.name in doc:
-            expected, check = _JSON_TYPES[f.type]
-            if not check(doc[f.name]):
-                raise DatasetFormatError(
-                    f"{what} key {f.name!r} must be {expected}, got {doc[f.name]!r}")
+def from_json(cls, doc, what: str):
+    """The dataclass ``cls`` built from its JSON object ``doc``, called ``what``
+    in errors.
 
-
-def dims_from_dict(d: dict) -> CategorySpec:
-    """Dimensions from their JSON object: each ``k_*`` an integer and each
-    optional ``labels_*`` a list of strings; any other key is refused."""
-    _check_keys(d, "dims", [f"k_{axis}" for axis in "euwxy"], CategorySpec)
-    _check_types(d, "dims", CategorySpec)
-    return CategorySpec(**{f.name: d[f.name] for f in fields(CategorySpec) if f.name in d})
+    ``doc`` must be an object holding every field of ``cls`` without a default
+    and no other key.  A field whose type is a dataclass is read by the same
+    rule from its own object, named by its key; every other value must have
+    its field's JSON type (:data:`_JSON_TYPES`), and lists become tuples.
+    ``cls(**values)`` then runs the class's own range checks.
+    """
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{what} must be a JSON object, got {doc!r}")
+    declared = {f.name: f for f in fields(cls)}
+    for name, f in declared.items():
+        if name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise DatasetFormatError(f"{what} is missing key {name!r}")
+    unknown = sorted(set(doc) - set(declared))
+    if unknown:
+        raise DatasetFormatError(f"{what} has unknown keys: {', '.join(unknown)}")
+    types = get_type_hints(cls)
+    values = {}
+    for name, value in doc.items():
+        if is_dataclass(types[name]):
+            value = from_json(types[name], value, name)
+        else:
+            expected, check = _JSON_TYPES[declared[name].type]
+            if not check(value):
+                raise DatasetFormatError(f"{what} key {name!r} must be {expected}, got {value!r}")
+        values[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)
 
 
 def save_dims(dims: CategorySpec, path) -> None:
@@ -138,7 +145,7 @@ def save_dims(dims: CategorySpec, path) -> None:
 
 def load_dims(path) -> CategorySpec:
     with open(path) as handle:
-        return dims_from_dict(json.load(handle))
+        return from_json(CategorySpec, json.load(handle), "dims")
 
 
 def save_dataset(records: Records, path) -> None:
@@ -312,9 +319,10 @@ def model_to_dict(spec: ScmSpec) -> dict:
 
 
 def model_from_dict(doc: dict) -> ScmSpec:
-    _check_keys(doc, "model file")
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"model file must be a JSON object, got {doc!r}")
     try:
-        dims = dims_from_dict(doc["dims"])
+        dims = from_json(CategorySpec, doc["dims"], "dims")
         p_u_given_e = _from_columns(doc["p_u_given_e"], dims.k_u, dims.k_e, "p_u_given_e")
         q_u = np.array(doc["q_u"], dtype=float)
         p_w_given_u = _from_columns(doc["p_w_given_u"], dims.k_w, dims.k_u, "p_w_given_u")

@@ -186,10 +186,11 @@ class Partition:
     def __post_init__(self):
         edges = tuple(float(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValidationError("partition edges must be strictly increasing")
-        if edges and not (self.lower < edges[0] and edges[-1] < self.upper):
-            raise ValidationError("partition edges must lie inside the declared support")
+        chain = (self.lower, *edges, self.upper)
+        if not all(a < b for a, b in zip(chain, chain[1:])):
+            raise ValidationError(
+                "partition needs lower < edges[0] < ... < edges[-1] < upper, got "
+                f"lower={self.lower!r}, edges={list(edges)}, upper={self.upper!r}")
 
     @property
     def m(self) -> int:

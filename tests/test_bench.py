@@ -45,6 +45,7 @@ class TestConfig:
         ({"n_sweep": (-5,)}, r"n_sweep entries must be >= 1, got \[-5\]"),
         ({"repetitions": 0}, "repetitions must be >= 1, got 0"),
         ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+        ({"confound_threshold": float("nan")}, "confound_threshold must be non-negative"),
     ])
     def test_rejects_values_that_would_mislead(self, overrides, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

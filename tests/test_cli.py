@@ -226,6 +226,20 @@ class TestExitCodes:
         ("discretize", {"edges": [], "lower": "x"}, "lower"),
         ("discretize", {"edges": [0.5], "uper": 1}, "uper"),
         ("model", [1], "model file"),
+        # a NaN bound or crossed bounds would bin every reading, or fail only later
+        ("discretize", {"edges": [], "lower": float("nan")}, "lower=nan"),
+        ("discretize", {"edges": [], "lower": 2, "upper": 1}, "lower=2, edges=[], upper=1"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "confound_threshold": float("nan")}, "confound_threshold"),
+        # nested fit_options values are typed like the top level and name their key
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"restarts": True}}, "restarts"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"seed": 1.5}}, "seed"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "fit_options": {"max_iterations": "5"}}, "max_iterations"),
+        ("bench", {"dims": {"k_e": 2, "k_u": 2, "k_w": 2, "k_x": 2, "k_y": 2},
+                   "n_sweep": [800, "x"]}, "n_sweep"),
     ])
     def test_malformed_json_input_is_data_error(self, tmp_path, case, doc, key):
         path = tmp_path / "in.json"

@@ -1,4 +1,5 @@
-"""Round-trips and schema errors of the dataset CSV and the model files."""
+"""Round-trips and schema errors of the dataset CSV, the JSON inputs and the
+model files."""
 
 import json
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxyshift.bench import ExperimentConfig
 from proxyshift.categorical import CategorySpec
+from proxyshift.causal import FitOptions
 from proxyshift.errors import DatasetFormatError, ValidationError
-from proxyshift.fileio import (DATASET_HEADER, _parse_line, load_dataset, load_dims,
-                               load_model, save_dataset, save_dims, save_model)
+from proxyshift.fileio import (DATASET_HEADER, _parse_line, from_json, load_dataset,
+                               load_dims, load_model, save_dataset, save_dims, save_model)
+from proxyshift.identify import Partition
 from proxyshift.scm import (TARGET, ContingencyCounts, count_records, sample_scm_spec,
                             simulate_records, true_effect)
 
@@ -304,6 +309,60 @@ class TestDimsFiles:
         path.write_text(json.dumps({"k_e": 2}))
         with pytest.raises(DatasetFormatError):
             load_dims(path)
+
+
+@st.composite
+def category_specs(draw):
+    """A ``CategorySpec`` with labels on a drawn subset of its axes."""
+    ks = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    labels = {f"labels_{axis}": tuple(draw(st.lists(st.text(max_size=4), min_size=k,
+                                                    max_size=k, unique=True)))
+              for axis, k in zip("euwxy", ks) if draw(st.booleans())}
+    return CategorySpec(*ks, **labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(category_specs())
+def test_dims_round_trip_property(dims):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dims.json"
+        save_dims(dims, path)
+        assert load_dims(path) == dims
+
+
+_LABELLED = CategorySpec(2, 1, 3, 2, 2, labels_e=("a", "b"), labels_u=("u",),
+                         labels_w=("lo", "mid", "hi"), labels_x=("c", "t"),
+                         labels_y=("no", "yes"))
+# Each dataclass read from JSON, a value of it that sets every field, and the
+# keys its file must hold: exactly the fields without a default.
+_READ_FROM_JSON = {
+    CategorySpec: (_LABELLED, {"k_e", "k_u", "k_w", "k_x", "k_y"}),
+    ExperimentConfig: (ExperimentConfig(_LABELLED, n_sweep=(100, 200), x=1,
+                                        fit_options=FitOptions(restarts=2)), {"dims"}),
+    FitOptions: (FitOptions(max_iterations=10, seed=3), set()),
+    Partition: (Partition((0.5, 2.0), lower=0.0, upper=4.0), {"edges"}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(_READ_FROM_JSON)), st.data())
+def test_from_json_requires_the_fields_without_a_default_property(cls, data):
+    value, required = _READ_FROM_JSON[cls]
+    assert required == {f.name for f in fields(cls)
+                        if f.default is MISSING and f.default_factory is MISSING}
+    doc = json.loads(json.dumps(asdict(value)))
+    assert asdict(from_json(cls, doc, "file")) == asdict(value)
+    dropped = data.draw(st.sampled_from(sorted(doc)))
+    rest = {k: v for k, v in doc.items() if k != dropped}
+    if dropped in required:
+        with pytest.raises(DatasetFormatError, match=f"^file is missing key '{dropped}'$"):
+            from_json(cls, rest, "file")
+    else:
+        from_json(cls, rest, "file")
+    unknown = data.draw(st.text(min_size=1).filter(lambda k: k not in doc))
+    with pytest.raises(DatasetFormatError) as info:
+        from_json(cls, {**doc, unknown: 1}, "file")
+    assert str(info.value) == f"file has unknown keys: {unknown}"
 
 
 class TestModelFiles:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from proxyshift.categorical import (CategorySpec, condition_number, numeric_row_rank,
                                     right_pseudoinverse)
-from proxyshift.errors import OutOfSupportError, RankDeficiencyError
+from proxyshift.errors import OutOfSupportError, RankDeficiencyError, ValidationError
 from proxyshift.identify import (Partition, causal_decomposition_effect,
                                  discretize_proxy, identify_conditional_effect,
                                  identify_effect,
@@ -295,6 +295,21 @@ class TestDiscretize:
             with pytest.raises(OutOfSupportError, match=(
                     rf"^value {shown} is outside the declared proxy support$")):
                 discretize_proxy(np.array([0.2, value]), part)
+
+    @pytest.mark.parametrize("edges, lower, upper", [
+        ((), float("nan"), float("inf")),
+        ((), float("-inf"), float("nan")),
+        ((), 2.0, 1.0),
+        ((), 1.0, 1.0),
+        ((0.5, float("nan")), 0.0, 1.0),
+        ((0.5, 0.5), 0.0, 1.0),
+        ((0.5,), 0.5, 1.0),
+        ((0.5,), 0.0, 0.5),
+    ])
+    def test_refuses_bounds_and_edges_out_of_order(self, edges, lower, upper):
+        # one chain lower < edges[0] < ... < edges[-1] < upper; NaN fails every link
+        with pytest.raises(ValidationError, match=r"^partition needs lower < edges\[0\]"):
+            Partition(edges, lower=lower, upper=upper)
 
     def test_right_closed_boundaries(self):
         part = Partition((75.0, 125.0))
