@@ -24,7 +24,7 @@ from .errors import FilterExhaustedError, ProxyShiftError, ValidationError
 from .fileio import atomic_write_text
 from .reduced import (EffectEstimate, bootstrap_ci, check_alpha, eta_from_counts,
                       reduced_estimate)
-from .scm import (ScmSpec, interventional_counts, population_views,
+from .scm import (ScmSpec, _draw_spec, interventional_counts, population_views,
                   sample_scm_spec, simulate_counts, target_conditional,
                   true_effect)
 
@@ -262,14 +262,16 @@ def run_point_error(config: ExperimentConfig) -> list[ReplicateRecord]:
 def _accepted_models(config: ExperimentConfig) -> list[tuple[int, ScmSpec]]:
     """The model draws passing the confounding filter
     ``|q(y|do(x)) - q(y|x)| > threshold`` (an exact model property), each with
-    its candidate index."""
+    its candidate index.  The gap is read off the raw draws, and only an
+    accepted draw is built and validated as the spec :func:`_model_for`
+    returns."""
     accepted = []
     for candidate in range(config.model_draw_budget):
-        spec = _model_for(config, candidate)
-        gap = abs(true_effect(spec, config.x, config.y)
-                  - target_conditional(spec, config.x, config.y))
+        draw = _draw_spec(config.dims, derive_rng(config.master_seed, _SALT_MODEL, candidate))
+        gap = abs(true_effect(draw, config.x, config.y)
+                  - target_conditional(draw, config.x, config.y))
         if gap > config.confound_threshold:
-            accepted.append((candidate, spec))
+            accepted.append((candidate, ScmSpec(config.dims, *draw)))
             if len(accepted) == config.n_models:
                 return accepted
     raise FilterExhaustedError(

@@ -3,7 +3,11 @@
 The model parameters are the entries of the five structural conditionals,
 optimised as unconstrained logits and mapped to strictly positive pmfs by a
 column-wise softmax.  The observed-data likelihood mixes over the hidden
-confounder.  The fit is an exact trust-region iteration on the analytic
+confounder.  Where the mechanism is saturated (``k_u = k_w = k_e`` and
+``k_x = 2``) and the closed-form solution of its moment equations is a valid
+mechanism, that solution reproduces every observed cell and is the fit
+(:func:`_saturated_start`); elsewhere the fit runs from uniform random
+starts.  The fit is an exact trust-region iteration on the analytic
 gradient, the expected information ``I = Jᵀ diag(N/p) J`` and the Hessian
 (``J`` is the Jacobian of the observed cell probabilities ``p`` with respect
 to the logits, ``N`` the size of each cell's multinomial); each step takes
@@ -48,6 +52,11 @@ class FitOptions:
     log-likelihood is at most ``gradient_tol``, or when the next step's
     predicted decrease is below the rounding error of the negative
     log-likelihood itself.
+
+    ``restarts`` and ``seed`` choose the uniform random starts, and act only
+    where the closed form of a saturated mechanism is not the fit (see
+    :func:`fit_causal`); ``max_iterations`` and ``gradient_tol`` also bound
+    the trust region run from the closed form.
     """
 
     max_iterations: int = 50_000
@@ -553,14 +562,73 @@ class FitDiagnostics:
     deviance: float
 
 
+def _saturated_start(counts: ContingencyCounts, k_u: int) -> ThetaParams | None:
+    """The mechanism that reproduces every observed cell, in closed form, or
+    ``None`` where the moment equations give no such mechanism.
+
+    When ``k_u = k_w = k_e = k`` and ``k_x = 2`` the mechanism is saturated:
+    it has as many contrast parameters as the table has free cells, so the
+    moment equations are exactly determined.  (E, W, X) are three views of
+    U, so the slices ``M_x[w, e] = P̂(w, x | e)`` are ``B diag(c_x) A`` with
+    ``B = p(w | u)``, ``c_x = p(x | u)`` and ``A = p(u | e)``, and
+    ``M_0 M_1⁻¹ = B diag(c_0 / c_1) B⁻¹`` (Jennrich's simultaneous
+    diagonalisation; Anandkumar et al., *JMLR* 2014): its eigenvectors, each
+    scaled to sum to 1, are the columns of ``B``, and an eigenvalue λ gives
+    ``p(x = 0 | u) = λ / (1 + λ)``.  Then ``A = B⁻¹ (M_0 + M_1)``,
+    ``q_u = B⁻¹ q̂_w``, and ``p(y | u, w, x)`` follows from one batched
+    ``k × k`` solve of ``P̂(y, x, w | e) = Σ_u A[u, e] B[w, u] c_x[u] p(y | u, w, x)``
+    over all (y, x, w).  The logits are the logs of these probabilities.
+
+    ``None`` when the dimensions are not these, a domain or the target is
+    empty, ``M_1`` or ``B`` is singular, an eigenpair is complex, or a
+    probability is not finite and positive.  No random number is drawn.
+    """
+    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+    n_e = counts.n_yxwe.sum(axis=(0, 1, 2))
+    if not (k_u == k_w == k_e and k_x == 2 and n_e.all() and counts.n_tgt):
+        return None
+    cells = counts.n_yxwe / n_e
+    m_0, m_1 = cells.sum(axis=0)
+    with np.errstate(all="ignore"):
+        try:
+            lam, vec = np.linalg.eig(np.linalg.solve(m_1.T, m_0.T).T)
+            if np.iscomplexobj(lam):
+                return None
+            b = vec / vec.sum(axis=0)
+            b_inv = np.linalg.inv(b)
+            a = b_inv @ (m_0 + m_1)
+            z = np.linalg.solve(a.T, cells.reshape(-1, k_e).T).T.reshape(k_y, k_x, k_w, k_u)
+        except np.linalg.LinAlgError:
+            return None
+        p_x = np.stack([lam, np.ones(k_u)]) / (1.0 + lam)
+        q_u = b_inv @ (counts.n_w_target / counts.n_tgt)
+        p_y = (z / (p_x[:, None, :] * b)).transpose(0, 3, 2, 1)
+        probs = (a, q_u, b, p_x, p_y)
+        if not all(np.isfinite(p).all() and (p > 0).all() for p in probs):
+            return None
+    return ThetaParams(*map(np.log, probs))
+
+
+#: The deviance below which a closed-form fit reproduces the observed cells.
+_EXACT_DEVIANCE = 1e-6
+
+
 def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
                k_u: int | None = None) -> tuple[ThetaParams, FitDiagnostics]:
     """Maximise the observed-data likelihood over the mechanism logits.
 
     ``k_u`` is the fitted confounder cardinality and must be supplied as a
-    positive integer (it is not derivable from the observables).  Runs ``opts.restarts`` independent
-    trust-region fits from uniform [0, 1] initial logits and keeps the best;
-    the returned likelihood is never below that of any starting point.
+    positive integer (it is not derivable from the observables).
+
+    Where :func:`_saturated_start` gives a mechanism, one trust region is
+    run from it; if that converges at a deviance of at most 1e-6 it is the
+    fit, since no mechanism has a higher likelihood than one that reproduces
+    every observed cell, and ``iterations`` counts its polish steps (0 when
+    the closed form was exact).  Otherwise, and wherever the closed form
+    does not apply, ``opts.restarts`` independent trust-region fits run from
+    uniform [0, 1] initial logits drawn from ``opts.seed``, and the best is
+    kept; ``restarts`` and ``seed`` act only there.  The returned likelihood
+    is never below that of any starting point.
     """
     if counts.n < 1:
         raise ValidationError("counts must describe at least one record")
@@ -573,22 +641,29 @@ def fit_causal(counts: ContingencyCounts, opts: FitOptions | None = None,
     k_y, k_x, k_w, k_e = counts.n_yxwe.shape
     layout = _layout(k_y, k_x, k_w, k_e, k_u)
     objective = _objective(counts, k_u)
+    ll_sat = _saturated_log_likelihood(counts)
 
     best: tuple[_Point, int, bool] | None = None
-    for restart in range(opts.restarts):
-        rng = np.random.default_rng([opts.seed, restart])
-        start = objective(rng.uniform(0.0, 1.0, size=layout.dim))
-        end, iterations, converged = _trust_region(
-            objective, start, layout, opts.max_iterations, opts.gradient_tol)
-        if end.value > start.value:  # paranoid guard: never return worse than the start
-            end = start
-        if best is None or end.value < best[0].value:
-            best = (end, iterations, converged)
+    closed = _saturated_start(counts, k_u)
+    if closed is not None:
+        polished = _trust_region(objective, objective(closed.flatten()), layout,
+                                 opts.max_iterations, opts.gradient_tol)
+        if polished[2] and 2.0 * (ll_sat + polished[0].value) <= _EXACT_DEVIANCE:
+            best = polished
+    if best is None:
+        for restart in range(opts.restarts):
+            rng = np.random.default_rng([opts.seed, restart])
+            start = objective(rng.uniform(0.0, 1.0, size=layout.dim))
+            end, iterations, converged = _trust_region(
+                objective, start, layout, opts.max_iterations, opts.gradient_tol)
+            if end.value > start.value:  # paranoid guard: never return worse than the start
+                end = start
+            if best is None or end.value < best[0].value:
+                best = (end, iterations, converged)
     end, iterations, converged = best
     theta = ThetaParams.from_flat(end.x, k_u, k_e, k_w, k_x, k_y)
     diag = FitDiagnostics(log_likelihood=-end.value, iterations=iterations,
-                          converged=converged,
-                          deviance=2.0 * (_saturated_log_likelihood(counts) + end.value))
+                          converged=converged, deviance=2.0 * (ll_sat + end.value))
     return theta, diag
 
 

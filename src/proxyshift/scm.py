@@ -187,22 +187,40 @@ def count_records(records: Records) -> ContingencyCounts:
     return ContingencyCounts(src[1:, 1:], tgt[0, 0])
 
 
-def sample_scm_spec(dims: CategorySpec, rng: np.random.Generator) -> ScmSpec:
-    """Draw a random model: every conditional column is a flat-Dirichlet draw
-    (uniform on the simplex) and the domain prior is uniform over the
-    ``k_e`` source domains plus the target."""
+class _Draw(NamedTuple):
+    """The arrays of one drawn model, named and ordered as the fields of
+    :class:`ScmSpec` after ``dims``, each C-contiguous as a spec stores it,
+    and not yet validated.  :func:`true_effect` and
+    :func:`target_conditional` read them as they read a spec."""
+
+    p_u_given_e: np.ndarray
+    q_u: np.ndarray
+    p_w_given_u: np.ndarray
+    p_x_given_u: np.ndarray
+    p_y_given_uwx: np.ndarray
+    domain_prior: np.ndarray
+
+
+def _draw_spec(dims: CategorySpec, rng: np.random.Generator) -> _Draw:
+    """The draws of :func:`sample_scm_spec`, without building the spec."""
     def columns(k_out: int, k_cond: int) -> np.ndarray:
-        return rng.dirichlet(np.ones(k_out), size=k_cond).T
+        return np.ascontiguousarray(rng.dirichlet(np.ones(k_out), size=k_cond).T)
 
     p_u_given_e = columns(dims.k_u, dims.k_e)
     q_u = rng.dirichlet(np.ones(dims.k_u))
     p_w_given_u = columns(dims.k_w, dims.k_u)
     p_x_given_u = columns(dims.k_x, dims.k_u)
     draws = rng.dirichlet(np.ones(dims.k_y), size=(dims.k_u, dims.k_w, dims.k_x))
-    p_y_given_uwx = np.moveaxis(draws, -1, 0)
+    p_y_given_uwx = np.ascontiguousarray(np.moveaxis(draws, -1, 0))
     domain_prior = np.full(dims.k_e + 1, 1.0 / (dims.k_e + 1))
-    return ScmSpec(dims, p_u_given_e, q_u, p_w_given_u, p_x_given_u,
-                   p_y_given_uwx, domain_prior)
+    return _Draw(p_u_given_e, q_u, p_w_given_u, p_x_given_u, p_y_given_uwx, domain_prior)
+
+
+def sample_scm_spec(dims: CategorySpec, rng: np.random.Generator) -> ScmSpec:
+    """Draw a random model: every conditional column is a flat-Dirichlet draw
+    (uniform on the simplex) and the domain prior is uniform over the
+    ``k_e`` source domains plus the target."""
+    return ScmSpec(dims, *_draw_spec(dims, rng))
 
 
 def _draw_categorical(rng: np.random.Generator, prob_cols: np.ndarray,
@@ -305,7 +323,7 @@ def effect_given_u(p_y_given_uwx: np.ndarray, p_w_given_u: np.ndarray,
     return np.einsum("uw,wu->u", p_y_given_uwx[y, :, :, x], p_w_given_u)
 
 
-def true_effect(spec: ScmSpec, x: int, y: int) -> float:
+def true_effect(spec: ScmSpec | _Draw, x: int, y: int) -> float:
     """Exact interventional probability of ``y`` under forcing ``X := x`` in
     the target domain, marginalised over the hidden confounder."""
     return float(effect_given_u(spec.p_y_given_uwx, spec.p_w_given_u, x, y) @ spec.q_u)
@@ -336,7 +354,7 @@ def population_views(spec: ScmSpec, x: int, y: int) -> PopulationViews:
     return PopulationViews(p_y_ex, p_w_ex, q_w)
 
 
-def target_conditional(spec: ScmSpec, x: int, y: int) -> float:
+def target_conditional(spec: ScmSpec | _Draw, x: int, y: int) -> float:
     """Exact target-domain conditional ``q(y | x)`` (not the causal effect)."""
     unnorm = spec.p_x_given_u[x, :] * spec.q_u
     q_u_x = unnorm / unnorm.sum()

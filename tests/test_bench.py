@@ -110,6 +110,28 @@ class TestBaselineComparison:
         config = small_config(n_models=2, confound_threshold=0.0)
         assert [candidate for candidate, _ in _accepted_models(config)] == [0, 1]
 
+    @pytest.mark.parametrize("master_seed", [1, 19, 1234])
+    def test_filter_accepts_the_specs_of_the_unfiltered_draws(self, master_seed):
+        # the filter reads the gap off the raw draws and builds a spec only
+        # for an accepted one: the same candidates, and field for field the
+        # specs _model_for builds for them, as when it built every draw
+        config = small_config(n_models=4, master_seed=master_seed)
+        from proxyshift.scm import target_conditional, true_effect
+        expected = []
+        for candidate in range(config.model_draw_budget):
+            spec = bench._model_for(config, candidate)
+            if abs(true_effect(spec, 0, 0) - target_conditional(spec, 0, 0)) > 0.1:
+                expected.append((candidate, spec))
+                if len(expected) == config.n_models:
+                    break
+        accepted = _accepted_models(config)
+        assert [c for c, _ in accepted] == [c for c, _ in expected]
+        for (_, got), (_, want) in zip(accepted, expected):
+            assert isinstance(got, scm.ScmSpec) and got.dims == want.dims
+            for name in ("p_u_given_e", "q_u", "p_w_given_u", "p_x_given_u",
+                         "p_y_given_uwx", "domain_prior"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_impossible_filter_exhausts_budget(self):
         config = small_config(confound_threshold=2.0, model_draw_budget=50)
         with pytest.raises(FilterExhaustedError):

@@ -2,26 +2,29 @@
 
 import collections
 import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxyshift import causal
 from proxyshift.categorical import CategorySpec
 from proxyshift.bench import derive_rng
-from proxyshift.causal import (FitOptions, ThetaParams, _eigenmodel, _layout, _objective,
-                               _step, _trust_region, causal_estimate, fit_causal,
-                               g_of_theta, likelihood_gradient, log_likelihood)
+from proxyshift.causal import (FitDiagnostics, FitOptions, ThetaParams, _eigenmodel, _layout,
+                               _objective, _saturated_start, _step, _trust_region,
+                               causal_estimate, fit_causal, g_of_theta, likelihood_gradient,
+                               log_likelihood)
 from proxyshift.errors import ValidationError
 from proxyshift.identify import causal_decomposition_effect
+from proxyshift.reduced import reduced_estimate
 from proxyshift.scm import (ContingencyCounts, sample_scm_spec, simulate_counts,
                             simulate_dataset, true_effect)
 
-from conftest import (nonidentified_spec, softmax_mechanism, source_cells,
+from conftest import (Mechanism, nonidentified_spec, softmax_mechanism, source_cells,
                       well_conditioned_spec)
 
 
@@ -451,7 +454,7 @@ class TestFitCausal:
     # of test_a_poorly_fitting_start_does_not_crawl.
     RECORDED_FITS = [
         (1234, (2, 2, 2, 2, 2), 200_000, 2, 6, -215383.80749051837, 0.5861129982898097),
-        (1234, (2, 2, 2, 2, 2), 200_000, 2, 11, -265372.03854044643, 0.6460817210387488),
+        (1234, (2, 2, 2, 2, 2), 200_000, 2, 11, -265372.03854044643, 0.6460817520286221),
         (1234, (2, 2, 2, 2, 2), 200_000, 2, 32, -260187.50166768854, 0.35989092271916767),
         (1234, (3, 3, 3, 2, 2), 20_000, 3, 7, -37527.65830734319, 0.5348872682455869),
         (1234, (3, 3, 3, 2, 2), 20_000, 3, 11, -34871.695340624414, 0.2813774835065755),
@@ -466,6 +469,124 @@ class TestFitCausal:
         assert diag.converged
         assert diag.log_likelihood == pytest.approx(ll, rel=1e-9)
         assert g_of_theta(theta, 0, 0) == pytest.approx(point, abs=1e-8)
+
+
+def expected_counts(model, n_e: float, n_t: float) -> ContingencyCounts:
+    """The expected table of a model or a :class:`Mechanism` with ``n_e``
+    records in each source domain and ``n_t`` in the target, rounded to whole
+    counts."""
+    return ContingencyCounts(np.rint(source_cells(model) * n_e),
+                             np.rint(model.p_w_given_u @ model.q_u * n_t))
+
+
+def start_zero_fit(counts, k_u, opts):
+    """The trust region from uniform start 0, run by hand: what the fit
+    returns where the closed form does not apply."""
+    k_y, k_x, k_w, k_e = counts.n_yxwe.shape
+    layout = _layout(k_y, k_x, k_w, k_e, k_u)
+    objective = _objective(counts, k_u)
+    start = objective(np.random.default_rng([opts.seed, 0]).uniform(0.0, 1.0, size=layout.dim))
+    end, iterations, converged = _trust_region(objective, start, layout, opts.max_iterations,
+                                               opts.gradient_tol)
+    theta = ThetaParams.from_flat(end.x, k_u, k_e, k_w, k_x, k_y)
+    deviance = 2.0 * (causal._saturated_log_likelihood(counts) + end.value)
+    return theta, FitDiagnostics(-end.value, iterations, converged, deviance)
+
+
+def negative_solution_counts() -> ContingencyCounts:
+    """A 2,2,2,2,2 table whose every cell is positive, made by a "mechanism"
+    with p(y = 0 | u = 0, w = 1, x = 1) = -0.05: the moment equations
+    recover that entry."""
+    p_y0 = np.full((2, 2, 2), 0.5)
+    p_y0[0, 1, 1] = -0.05
+    mechanism = Mechanism(np.array([[0.8, 0.3], [0.2, 0.7]]), np.array([0.4, 0.6]),
+                          np.array([[0.9, 0.2], [0.1, 0.8]]),
+                          np.array([[0.7, 0.35], [0.3, 0.65]]), np.stack([p_y0, 1 - p_y0]))
+    return expected_counts(mechanism, 10 ** 6, 10 ** 6)
+
+
+def saturated_counts() -> ContingencyCounts:
+    return expected_counts(well_conditioned_spec(), 10 ** 6, 10 ** 6)
+
+
+def without_target(counts) -> ContingencyCounts:
+    return ContingencyCounts(counts.n_yxwe, np.zeros_like(counts.n_w_target))
+
+
+def without_domain_1(counts) -> ContingencyCounts:
+    tensor = counts.n_yxwe.copy()
+    tensor[..., 1] = 0
+    return ContingencyCounts(tensor, counts.n_w_target)
+
+
+class TestSaturatedStart:
+    """The closed-form mechanism of a saturated table, and the fit's use of it."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (3, 3, 3, 2, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_recovers_the_conditionals(self, dims, seed):
+        # the expected table of 10^10 records in each domain: the only error
+        # is the rounding to whole counts (a multinomial draw of that size
+        # misses by up to 1e-3 on these models, which the moment equations
+        # amplify).  The closed form labels u in its own order.
+        spec = sample_scm_spec(CategorySpec(*dims), np.random.default_rng(seed))
+        start = _saturated_start(expected_counts(spec, 1e10, 1e10), dims[1])
+        assert start is not None
+        got = softmax_mechanism(start)
+        truth = (spec.p_u_given_e, spec.q_u, spec.p_w_given_u, spec.p_x_given_u,
+                 spec.p_y_given_uwx)
+        u_axis = (0, 0, 1, 1, 1)
+        errors = [max(np.max(np.abs(g.take(perm, axis=axis) - t))
+                      for g, t, axis in zip(got, truth, u_axis))
+                  for perm in map(list, itertools.permutations(range(dims[1])))]
+        assert min(errors) <= 1e-4
+
+    @pytest.mark.parametrize("counts, k_u", [
+        (random_counts(np.random.default_rng(30), CategorySpec(2, 2, 2, 3, 2)), 2),
+        (saturated_counts(), 3),
+        (random_counts(np.random.default_rng(30), CategorySpec(3, 2, 2, 2, 2)), 2),
+        (without_target(saturated_counts()), 2),
+        (without_domain_1(saturated_counts()), 2),
+        (negative_solution_counts(), 2),
+    ], ids=["k_x-3", "k_u-not-k_w", "k_w-not-k_e", "empty-target", "empty-domain",
+            "negative-entry"])
+    def test_none_leaves_the_fit_as_from_start_0(self, counts, k_u):
+        assert _saturated_start(counts, k_u) is None
+        opts = FitOptions(max_iterations=300)
+        theta, diag = fit_causal(counts, opts, k_u=k_u)
+        want, want_diag = start_zero_fit(counts, k_u, opts)
+        for name in ("u_e", "q_u", "w_u", "x_u", "y_uwx"):
+            assert np.array_equal(getattr(theta, name), getattr(want, name)), name
+        assert diag == want_diag
+
+    def test_the_cases_that_give_none_would_otherwise_give_a_start(self):
+        # the empty target and the empty domain are cut from a table whose
+        # closed form exists, at the shape of the negative-entry table
+        assert _saturated_start(saturated_counts(), 2) is not None
+
+    def test_a_valid_closed_form_is_the_fit(self):
+        counts = saturated_counts()
+        start = _saturated_start(counts, 2)
+        theta, diag = fit_causal(counts, FitOptions(), k_u=2)
+        assert diag.converged and diag.iterations == 0 and abs(diag.deviance) <= 1e-6
+        assert np.array_equal(theta.flatten(), start.flatten())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_fit_properties(self, seed):
+        # where the closed form is taken, the fit reproduces every cell, so its
+        # effect is the reduced estimator's unclipped point, and relabelling
+        # the domains or the proxy categories does not move it
+        rng = np.random.default_rng(seed)
+        counts = simulate_counts(sample_scm_spec(CategorySpec(2, 2, 2, 2, 2), rng), 200_000, rng)
+        assume(_saturated_start(counts, 2) is not None)
+        est = causal_estimate(counts, 0, 0, k_u=2)
+        assert est.fit.deviance <= 1e-6
+        assert abs(est.point - reduced_estimate(counts, 0, 0).point_unclipped) <= 1e-12
+        e_perm, w_perm = rng.permutation(2), rng.permutation(2)
+        for permuted in (ContingencyCounts(counts.n_yxwe[..., e_perm], counts.n_w_target),
+                         ContingencyCounts(counts.n_yxwe[:, :, w_perm], counts.n_w_target[w_perm])):
+            assert abs(causal_estimate(permuted, 0, 0, k_u=2).point - est.point) <= 1e-12
 
 
 class TestLazyPoints:
@@ -755,8 +876,14 @@ class TestCausalEstimate:
         assert est.ci_lower is None
         assert 0.0 <= est.point <= 1.0
 
+    @staticmethod
+    def unsaturated_counts() -> ContingencyCounts:
+        # three domains: the closed form does not apply, so the fit steps
+        rng = np.random.default_rng(22)
+        return simulate_dataset(sample_scm_spec(CategorySpec(3, 2, 2, 2, 2), rng), 5000, rng)
+
     def test_carries_the_fit_diagnostics(self):
-        ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(22))
+        ds = self.unsaturated_counts()
         est = causal_estimate(ds, 0, 0, FitOptions(seed=1), k_u=2)
         assert est.fit.converged
         assert est.fit.iterations > 1
@@ -767,7 +894,7 @@ class TestCausalEstimate:
                                         "deviance": est.fit.deviance}
 
     def test_reports_a_fit_that_did_not_converge(self):
-        ds = simulate_dataset(well_conditioned_spec(), 5000, np.random.default_rng(22))
+        ds = self.unsaturated_counts()
         est = causal_estimate(ds, 0, 0, FitOptions(max_iterations=1), k_u=2)
         assert est.fit.converged is False
         assert est.to_dict()["fit"]["converged"] is False

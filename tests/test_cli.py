@@ -389,6 +389,18 @@ class TestEstimate:
         assert fit["iterations"] >= 1 and fit["log_likelihood"] < 0
         assert fit["deviance"] >= -1e-6
 
+    def test_causal_fit_block_of_a_closed_form_fit(self, tmp_path):
+        # 2,2,2,2,2 fitted with k_u = 2 is saturated, and this table's moment
+        # solution is a valid mechanism: it is the fit, with no step taken
+        _, data, dims = simulate_fixture(tmp_path / "a", seed=6, n=200_000)
+        res = run_cli("estimate", "--data", str(data), "--dims", str(dims),
+                      "--x", "1", "--y", "1", "--method", "causal")
+        assert res.returncode == 0, res.stderr
+        fit = json.loads(res.stdout)["fit"]
+        assert set(fit) == {"converged", "iterations", "log_likelihood", "deviance"}
+        assert fit["iterations"] == 0 and fit["converged"] is True
+        assert fit["deviance"] <= 1e-6
+
     @pytest.mark.parametrize("k_u", ["0", "-2"])
     def test_non_positive_k_u_fit_is_data_error(self, tmp_path, k_u):
         _, data, dims = simulate_fixture(tmp_path / "a")
